@@ -116,7 +116,8 @@ def _d_flip(k: int, fixed_grading) -> InvolutionClass:
 
 def gl_linear(m: int, n: int) -> FamilyClass:
     """GL(m+n) with conjugation by diag(1^m, -1^n); fixed group GL(m) x GL(n)."""
-    assert m >= 1 and n >= 1
+    if m < 1 or n < 1:
+        raise ValueError(f"gl_linear needs m, n >= 1, got ({m}, {n})")
     grading = tuple(-1 if i == m else 1 for i in range(1, m + n))
     return FamilyClass(
         family="GL_linear",
@@ -143,7 +144,8 @@ def u_pair(m: int, n: int) -> FamilyClass:
 
 def gl_symplectic(n: int) -> FamilyClass:
     """GL(2n) with g -> J g^-t J^-1; fixed group Sp(2n), center inverted."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"gl_symplectic needs n >= 1, got {n}")
     return FamilyClass(
         family="GL_symplectic",
         params=(n,),
@@ -156,7 +158,8 @@ def gl_symplectic(n: int) -> FamilyClass:
 
 def gl_orthogonal(n: int) -> FamilyClass:
     """GL(n) with g -> g^-t; fixed group O(n), center inverted."""
-    assert n >= 2
+    if n < 2:
+        raise ValueError(f"gl_orthogonal needs n >= 2, got {n}")
     rank = n - 1
     middle = -1 if rank % 2 == 1 else None
     return FamilyClass(
@@ -171,7 +174,8 @@ def gl_orthogonal(n: int) -> FamilyClass:
 
 def sp_gl(n: int) -> FamilyClass:
     """Sp(2n) with the involution whose fixed group is GL(n)."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"sp_gl needs n >= 1, got {n}")
     grading = tuple(-1 if i == n else 1 for i in range(1, n + 1))
     return FamilyClass(
         family="Sp_GL",
@@ -184,7 +188,8 @@ def sp_gl(n: int) -> FamilyClass:
 
 def so_gl(n: int) -> FamilyClass:
     """SO(2n) with the involution whose fixed group is GL(n)."""
-    assert n >= 2
+    if n < 2:
+        raise ValueError(f"so_gl needs n >= 2, got {n}")
     grading = tuple(-1 if i == n else 1 for i in range(1, n + 1))
     return FamilyClass(
         family="SO_GL",
@@ -203,7 +208,8 @@ def so_pair(m: int, n: int) -> FamilyClass:
     shape: odd total dimension stays inner in type B, even total splits into
     an inner class (m, n both even) or a diagram flip (both odd).
     """
-    assert m >= 1 and n >= 1 and m + n >= 3
+    if m < 1 or n < 1 or m + n < 3:
+        raise ValueError(f"so_pair needs m, n >= 1 and m + n >= 3, got ({m}, {n})")
     total = m + n
     if total % 2 == 1:
         k = (total - 1) // 2
@@ -235,7 +241,8 @@ def so_pair(m: int, n: int) -> FamilyClass:
 
 def sp_pair(m: int, n: int) -> FamilyClass:
     """Sp(2m+2n) with conjugation by diag blocks; fixed Sp(2m) x Sp(2n)."""
-    assert m >= 1 and n >= 1
+    if m < 1 or n < 1:
+        raise ValueError(f"sp_pair needs m, n >= 1, got ({m}, {n})")
     k = m + n
     grading = tuple(-1 if i == m else 1 for i in range(1, k + 1))
     return FamilyClass(

@@ -16,7 +16,7 @@ from functools import lru_cache
 from .chevalley import pinned_signs
 from .involution import Grading, InvolutionClass
 from .rootdata import format_subsystem, identify_subsystem, type_string, Vector
-from .weyl import Chamber
+from .weyl import Chamber, root_index
 
 
 def is_imaginary(cls: InvolutionClass, beta: Vector) -> bool:
@@ -41,6 +41,57 @@ def eps(cls: InvolutionClass, rep: Grading, beta: Vector) -> int:
 
 def is_compact_imaginary(cls: InvolutionClass, rep: Grading, beta: Vector) -> bool:
     return eps(cls, rep, beta) == 1
+
+
+class IndexedGrading:
+    """One class at one grading, in root-index form (see weyl.root_index).
+
+    theta is theta0 as a permutation of root indices, signs[k] the eps of an
+    imaginary root k (0 on complex roots), and imaginary and compact the
+    bitmasks of the imaginary and of the compact imaginary roots.
+    """
+
+    def __init__(self, cls: InvolutionClass, rep: Grading):
+        assert cls.contains(rep)
+        self.cls = cls
+        self.ri = ri = root_index(cls.rs)
+        roots = cls.rs.roots
+        self.theta = tuple(ri.index[cls.theta0_on_root(b)] for b in roots)
+        self.signs = tuple(eps(cls, rep, b) if self.theta[k] == k else 0 for k, b in enumerate(roots))
+        self.imaginary = ri.mask(k for k, t in enumerate(self.theta) if t == k)
+        self.compact = ri.mask(k for k, sign in enumerate(self.signs) if sign == 1)
+
+    def admits_generic(self, chamber: Chamber) -> bool:
+        """Whether some wall-generic character kills the fixed unipotent part.
+
+        Blocked by a compact imaginary wall (the whole wall space lies in the
+        image) or by a complex wall whose partner is w-positive but interior
+        (the wall space again lies in the image).  A complex wall pair only
+        forces the character to vanish on a diagonal, which generic
+        characters can dodge.
+        """
+        walls = chamber.wall_mask
+        if walls & self.compact:
+            return False
+        if self.cls.is_inner:  # theta0 fixes every wall
+            return True
+        partners = self.ri.mask(map(self.theta.__getitem__, chamber.walls)) & ~walls
+        return not (partners and partners & chamber.positive_mask)
+
+    def imaginary_simples(self, chamber: Chamber) -> list[int]:
+        """Indices of the simple roots of the w-positive imaginary roots: the
+        members that are not the sum of two members."""
+        members = self.imaginary & chamber.positive_mask
+        sums = self.ri.sums
+        return [
+            k for k in range(len(sums))
+            if members >> k & 1 and not any(members & pair == pair for pair in sums[k])
+        ]
+
+
+@lru_cache(maxsize=None)
+def indexed_grading(cls: InvolutionClass, rep: Grading) -> IndexedGrading:
+    return IndexedGrading(cls, rep)
 
 
 @dataclass(frozen=True)
@@ -197,20 +248,5 @@ def unipotent_image_dim(cls: InvolutionClass, rep: Grading, chamber: Chamber) ->
 
 
 def admits_generic_character(cls: InvolutionClass, rep: Grading, chamber: Chamber) -> bool:
-    """Whether some wall-generic character kills the fixed unipotent part.
-
-    Blocked by a compact imaginary wall (the whole wall space lies in the
-    image) or by a complex wall whose partner is w-positive but interior (the
-    wall space again lies in the image).  A complex wall pair only forces the
-    character to vanish on a diagonal, which generic characters can dodge.
-    """
-    assert cls.contains(rep)
-    walls = set(chamber.images)
-    for beta in chamber.images:
-        tb = cls.theta0_on_root(beta)
-        if tb == beta:
-            if eps(cls, rep, beta) == 1:
-                return False
-        elif chamber.is_w_positive(tb) and tb not in walls:
-            return False
-    return True
+    """Whether some wall-generic character kills the fixed unipotent part."""
+    return indexed_grading(cls, rep).admits_generic(chamber)

@@ -37,6 +37,16 @@ def _check_tool_threads() -> None:
         raise SystemExit(2)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _build(type_str: str):
     try:
         return build_root_system(type_str)
@@ -117,6 +127,10 @@ def cmd_involutions(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if args.class_id == []:
+        # argparse drops a class id "--" written after the "--" separator too,
+        # leaving an empty list: report A1+A1 -- --
+        args.class_id = "--"
     rs = _build(args.type)
     classes = enumerate_involution_classes(rs)
     matches = [c for c in classes if c.class_id == args.class_id or _display_id(c) == args.class_id]
@@ -161,7 +175,7 @@ def cmd_family(args) -> int:
         return 2
     try:
         fam = builder(*args.params)
-    except AssertionError:
+    except ValueError:
         print(f"error: parameters {args.params} out of range for {args.name}", file=sys.stderr)
         return 2
     record = {
@@ -262,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run structural checks")
     p.add_argument("checks", nargs="*", metavar="check",
                    help=f"checks to run: {', '.join(CHECKS)}, all (default: all)")
-    p.add_argument("--max-rank", type=int, default=6)
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    p.add_argument("--max-rank", type=_positive_int, default=6)
+    p.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exhaustive", action="store_true",
                    help="enumerate every chamber where the Weyl group allows it")

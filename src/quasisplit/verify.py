@@ -23,9 +23,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .classify import admits_generic_character, eps, unipotent_image_dim
-from .involution import InvolutionClass, enumerate_involution_classes, find_class
-from .rootdata import RootSystem, Vector, build_root_system, identity_automorphism, support_connected
+from .classify import admits_generic_character, indexed_grading, unipotent_image_dim
+from .involution import enumerate_involution_classes, find_class
+from .rootdata import RootSystem, build_root_system, identity_automorphism, support_connected
 from .weyl import (
     EXHAUSTIVE_WEYL_BOUND,
     Chamber,
@@ -146,42 +146,6 @@ def check_principal(max_rank: int = 8) -> CheckResult:
     return CheckResult("principal", ok, details)
 
 
-class _ClassData:
-    """Per-class caches for the chamber-major imaginary-signs sweep."""
-
-    def __init__(self, cls: InvolutionClass):
-        self.cls = cls
-        rs = cls.rs
-        self.theta = {b: cls.theta0_on_root(b) for b in rs.roots}
-        rep = cls.canonical_rep
-        self.eps = {b: eps(cls, rep, b) for b in rs.roots if self.theta[b] == b}
-
-    def admits_generic(self, walls: tuple[Vector, ...], wall_set: set, w_pos: frozenset) -> bool:
-        for beta in walls:
-            tb = self.theta[beta]
-            if tb == beta:
-                if self.eps[beta] == 1:
-                    return False
-            elif tb in w_pos and tb not in wall_set:
-                return False
-        return True
-
-    def imaginary_simples(self, w_pos: frozenset) -> list[Vector]:
-        members = [b for b in self.eps if b in w_pos]
-        member_set = set(members)
-        out = []
-        for beta in members:
-            decomposable = False
-            for gamma in members:
-                delta = tuple(x - y for x, y in zip(beta, gamma))
-                if delta in member_set:
-                    decomposable = True
-                    break
-            if not decomposable:
-                out.append(beta)
-        return out
-
-
 def _chambers_for(rs: RootSystem, samples: int, seed: int, exhaustive: bool,
                   cutoff: int = DEFAULT_EXHAUSTIVE_CUTOFF) -> tuple[list[Chamber], str]:
     order = rs.weyl_group_order()
@@ -205,34 +169,31 @@ def check_imaginary_signs(
     details = []
     for type_str in simple_types_up_to(max_rank):
         rs = build_root_system(type_str)
-        data = [_ClassData(c) for c in enumerate_involution_classes(rs)]
+        gradings = [indexed_grading(c, c.canonical_rep) for c in enumerate_involution_classes(rs)]
         chambers, mode = _chambers_for(rs, samples, seed, exhaustive)
-        details.append(f"{type_str}: {mode}, {len(data)} classes")
+        details.append(f"{type_str}: {mode}, {len(gradings)} classes")
         for ch in chambers:
-            w_pos = ch.w_positive_roots()
-            walls = ch.images
-            wall_set = set(walls)
-            for d in data:
-                if not d.admits_generic(walls, wall_set, w_pos):
+            for g in gradings:
+                if not g.admits_generic(ch):
                     continue
                 scanned += 1
-                simples = d.imaginary_simples(w_pos)
-                for i, beta in enumerate(simples):
-                    sign = d.eps[beta]
-                    if fault_pending and i == 0 and simples:
+                simples = g.imaginary_simples(ch)
+                for i, k in enumerate(simples):
+                    sign = g.signs[k]
+                    if fault_pending and i == 0:
                         sign = -sign
                         fault_pending = False
                     if sign != -1:
                         violations.append(
-                            f"{type_str} class {d.cls.class_id} word {ch.word}"
-                            f" root {beta} sign {sign}"
+                            f"{type_str} class {g.cls.class_id} word {ch.word}"
+                            f" root {rs.roots[k]} sign {sign}"
                         )
     details.append(f"{scanned} surviving (class, chamber) pairs checked")
     if inject_fault:
         passed = len(violations) >= 1
         details.append(f"fault injection produced {len(violations)} violation(s)")
     else:
-        passed = not violations
+        passed = scanned > 0 and not violations
         details.extend(violations[:20])
     return CheckResult("imaginary-signs", passed, details)
 

@@ -1,16 +1,17 @@
 """Weyl group machinery: chambers, orbits, and folded subgroups.
 
-Group elements are tracked as chambers, i.e. the images of the simple roots
-under w together with the images under w^{-1}.  Both are needed: w-positivity
-of a root beta is read off from w^{-1} beta, while conjugating a grading needs
-w(alpha_j) in simple-root coordinates.
+The roots of a root system are numbered once (root_index), and each simple
+reflection becomes a permutation of those numbers.  A group element w is a
+chamber: the tuple of indices of w(root_k) over all roots k.  Right
+multiplication by s_i permutes that tuple in C (operator.itemgetter), and the
+sets a chamber decides, its walls and its w-positive roots, are int bitmasks.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import add, itemgetter
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .rootdata import RootSystem, Vector
@@ -36,85 +37,160 @@ def act_word(rs: RootSystem, word: Sequence[int], v: Vector) -> Vector:
     return v
 
 
-@dataclass(frozen=True)
-class Chamber:
-    """A Weyl group element w, stored through its action on simple roots.
+class WeylError(ValueError):
+    """A chamber request this module refuses, or a broken internal invariant."""
 
-    images[j] = w(alpha_{j+1}) and inv_images[j] = w^{-1}(alpha_{j+1}), both
-    in simple-root coordinates.  word is one reduced-or-not expression used
-    only for bookkeeping.
+
+def _tuple_getter(indices: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """itemgetter that returns a tuple for any number of indices."""
+    if len(indices) == 1:
+        (k,) = indices
+        return lambda seq: (seq[k],)
+    if not indices:
+        return lambda seq: ()
+    return itemgetter(*indices)
+
+
+class RootIndex:
+    """The roots of one root system, numbered by their position in rs.roots.
+
+    reflections[i - 1][k] is the index of s_i(root_k), simple[j] the index of
+    alpha_{j+1}; the positive roots are the indices below npos.  A set of
+    roots is an int bitmask with bit k for root k.
     """
 
-    rs: RootSystem
-    word: tuple[int, ...]
-    images: tuple[Vector, ...]
-    inv_images: tuple[Vector, ...]
+    def __init__(self, rs: RootSystem):
+        self.rs = rs
+        self.index = {v: k for k, v in enumerate(rs.roots)}
+        self.npos = len(rs.roots) // 2
+        self.simple = tuple(self.index[a] for a in rs.simple_roots)
+        self.reflections = tuple(
+            tuple(self.index[reflect(rs, i, v)] for v in rs.roots) for i in range(1, rs.rank + 1)
+        )
+        self.bits = tuple(1 << k for k in range(len(rs.roots)))
+        # movers[i - 1](img) is img composed with s_i: right multiplication.
+        self.movers = tuple(_tuple_getter(perm) for perm in self.reflections)
+        self.walls_of = _tuple_getter(self.simple)
+        # wall_movers[i - 1](img) are the walls of img composed with s_i.
+        self.wall_movers = tuple(
+            _tuple_getter([perm[k] for k in self.simple]) for perm in self.reflections
+        )
 
-    def act(self, v: Vector) -> Vector:
-        out = [0] * self.rs.rank
-        for j, coeff in enumerate(v):
-            if coeff:
-                img = self.images[j]
-                for k in range(self.rs.rank):
-                    out[k] += coeff * img[k]
-        return tuple(out)
+    def mask(self, indices: Iterable[int]) -> int:
+        """Bitmask of distinct root indices."""
+        return sum(map(self.bits.__getitem__, indices))
 
-    def act_inv(self, v: Vector) -> Vector:
-        out = [0] * self.rs.rank
-        for j, coeff in enumerate(v):
-            if coeff:
-                img = self.inv_images[j]
-                for k in range(self.rs.rank):
-                    out[k] += coeff * img[k]
-        return tuple(out)
+    @cached_property
+    def sums(self) -> tuple[tuple[int, ...], ...]:
+        """sums[k]: the masks of the root pairs {g, d} with root_g + root_d = root_k."""
+        out: list[list[int]] = [[] for _ in self.rs.roots]
+        roots = self.rs.roots
+        for g, gamma in enumerate(roots):
+            for d in range(g + 1, len(roots)):
+                k = self.index.get(tuple(map(add, gamma, roots[d])))
+                if k is not None:
+                    out[k].append(self.bits[g] | self.bits[d])
+        return tuple(map(tuple, out))
+
+
+@lru_cache(maxsize=None)
+def root_index(rs: RootSystem) -> RootIndex:
+    return RootIndex(rs)
+
+
+class Chamber:
+    """A Weyl group element w, stored as a permutation of root indices.
+
+    img[k] is the index of w(root_k).  The walls w(alpha_j) are the entries at
+    the simple indices, and the w-positive roots w(positive roots) are the
+    entries img[:npos].  word is one reduced-or-not expression used only for
+    bookkeeping.
+    """
+
+    __slots__ = ("ri", "word", "img", "_wall_mask", "_positive_mask")
+
+    def __init__(self, ri: RootIndex, word: tuple[int, ...], img: tuple[int, ...]):
+        self.ri = ri
+        self.word = word
+        self.img = img
+        self._wall_mask = self._positive_mask = None
+
+    def __repr__(self) -> str:
+        return f"Chamber(word={self.word})"
+
+    @property
+    def rs(self) -> RootSystem:
+        return self.ri.rs
+
+    @property
+    def walls(self) -> tuple[int, ...]:
+        """Root indices of w(alpha_1), ..., w(alpha_rank)."""
+        return self.ri.walls_of(self.img)
+
+    @property
+    def wall_mask(self) -> int:
+        if self._wall_mask is None:
+            self._wall_mask = self.ri.mask(self.walls)
+        return self._wall_mask
+
+    @property
+    def positive_mask(self) -> int:
+        """Bitmask of w(positive roots), the roots beta with w^{-1} beta > 0."""
+        if self._positive_mask is None:
+            self._positive_mask = self.ri.mask(self.img[: self.ri.npos])
+        return self._positive_mask
+
+    @property
+    def images(self) -> tuple[Vector, ...]:
+        """w(alpha_j) in simple-root coordinates."""
+        return tuple(map(self.rs.roots.__getitem__, self.walls))
+
+    @property
+    def inv_images(self) -> tuple[Vector, ...]:
+        """w^{-1}(alpha_j) in simple-root coordinates."""
+        return tuple(self.rs.roots[self.img.index(s)] for s in self.ri.simple)
 
     def is_w_positive(self, v: Vector) -> bool:
-        """True iff v lies in w(positive roots)."""
-        return sum(self.act_inv(v)) > 0
+        """True iff the root v lies in w(positive roots)."""
+        return bool(self.positive_mask >> self.ri.index[v] & 1)
 
     def extend(self, i: int) -> "Chamber":
         """Right multiplication by s_i: w -> w s_i."""
-        rs = self.rs
-        row = rs.cartan[i - 1]
-        base = self.images[i - 1]
-        images = []
-        for j in range(rs.rank):
-            if row[j]:
-                images.append(tuple(self.images[j][k] - row[j] * base[k] for k in range(rs.rank)))
-            else:
-                images.append(self.images[j])
-        inv_images = tuple(reflect(rs, i, v) for v in self.inv_images)
-        return Chamber(rs, self.word + (i,), tuple(images), inv_images)
+        return Chamber(self.ri, self.word + (i,), self.ri.movers[i - 1](self.img))
 
     def w_positive_roots(self) -> frozenset[Vector]:
-        return frozenset(v for v in self.rs.roots if self.is_w_positive(v))
+        return frozenset(map(self.rs.roots.__getitem__, self.img[: self.ri.npos]))
 
 
 def identity_chamber(rs: RootSystem) -> Chamber:
-    simples = rs.simple_roots
-    return Chamber(rs, (), simples, simples)
+    return Chamber(root_index(rs), (), tuple(range(len(rs.roots))))
 
 
 @lru_cache(maxsize=8)
 def all_chambers(rs: RootSystem) -> tuple[Chamber, ...]:
-    """Every Weyl group element, by breadth-first search on simple images."""
+    """Every Weyl group element, by breadth-first search on root permutations."""
     order = rs.weyl_group_order()
-    assert order <= EXHAUSTIVE_WEYL_BOUND or order == 51840, (
-        f"exhaustive enumeration of {order} chambers refused"
-    )
+    if order > EXHAUSTIVE_WEYL_BOUND and order != 51840:
+        raise WeylError(f"exhaustive enumeration of {order} chambers refused")
+    ri = root_index(rs)
     start = identity_chamber(rs)
-    seen = {start.images: start}
+    # Chambers are told apart by their walls; (w s_i)(alpha_j) = w(s_i alpha_j)
+    # reads the walls of a neighbour before its whole permutation is built.
+    seen = {start.walls: start}
     frontier = [start]
+    steps = tuple(enumerate(zip(ri.movers, ri.wall_movers), 1))
     while frontier:
         nxt = []
         for ch in frontier:
-            for i in range(1, rs.rank + 1):
-                ext = ch.extend(i)
-                if ext.images not in seen:
-                    seen[ext.images] = ext
+            img = ch.img
+            for i, (move, move_walls) in steps:
+                walls = move_walls(img)
+                if walls not in seen:
+                    seen[walls] = ext = Chamber(ri, ch.word + (i,), move(img))
                     nxt.append(ext)
         frontier = nxt
-    assert len(seen) == order, f"chamber count {len(seen)} != {order}"
+    if len(seen) != order:
+        raise WeylError(f"chamber count {len(seen)} != {order}")
     return tuple(seen.values())
 
 
@@ -125,14 +201,19 @@ def random_chambers(rs: RootSystem, count: int, seed: int) -> list[Chamber]:
     spreads across the group.  Duplicates are kept; callers want coverage,
     not uniformity.
     """
+    ri = root_index(rs)
     rng = random.Random(seed)
     length = max(4, 4 * (len(rs.roots) // 2))
+    rank = rs.rank
+    movers = ri.movers
+    start = tuple(range(len(rs.roots)))
     out = []
     for _ in range(count):
-        ch = identity_chamber(rs)
-        for _ in range(length):
-            ch = ch.extend(rng.randrange(1, rs.rank + 1))
-        out.append(ch)
+        word = tuple(rng.randrange(1, rank + 1) for _ in range(length))
+        img = start
+        for i in word:
+            img = movers[i - 1](img)
+        out.append(Chamber(ri, word, img))
     return out
 
 
@@ -147,7 +228,8 @@ def orbit_partition(
     """
     pool = list(domain)
     pool_set = set(pool)
-    assert len(pool) == len(pool_set), "domain has duplicates"
+    if len(pool) != len(pool_set):
+        raise WeylError("domain has duplicates")
     unseen = set(pool)
     orbits = []
     for x in pool:
@@ -161,7 +243,7 @@ def orbit_partition(
             for g in generators:
                 z = g(y)
                 if z not in pool_set:
-                    raise ValueError(f"generator image {z!r} left the domain")
+                    raise WeylError(f"generator image {z!r} left the domain")
                 if z in unseen:
                     unseen.discard(z)
                     orbit.append(z)
@@ -188,7 +270,8 @@ def folded_generators(rs: RootSystem, perm: Sequence[int]) -> tuple[tuple[int, .
             seen.add(i)
             words.append((i,))
         else:
-            assert perm[j - 1] == i, "automorphism is not an involution on nodes"
+            if perm[j - 1] != i:
+                raise WeylError(f"automorphism {tuple(perm)} is not an involution on nodes")
             seen.update((i, j))
             if rs.adjacent(i, j):
                 words.append((i, j, i))

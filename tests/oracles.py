@@ -40,6 +40,51 @@ def roots_by_reflection_closure(rs: RootSystem) -> frozenset[Vector]:
     return frozenset(seen)
 
 
+class VectorChamber:
+    """The Weyl group element w = s_{word[0]} ... s_{word[-1]} by vector arithmetic.
+
+    images[j] = w(alpha_{j+1}) and inv_images[j] = w^{-1}(alpha_{j+1}) in
+    simple-root coordinates, built letter by letter: right multiplication by
+    s_i reflects the image columns of w and applies s_i on the left of w^{-1}.
+    No root indices are involved, so it checks the orientation of the
+    indexed chambers in ``quasisplit.weyl``.
+    """
+
+    def __init__(self, rs: RootSystem, word: tuple[int, ...] = ()):
+        self.rs = rs
+        self.word = tuple(word)
+        images = [list(a) for a in rs.simple_roots]
+        inv_images = [list(a) for a in rs.simple_roots]
+        for i in self.word:
+            row = rs.cartan[i - 1]
+            base = list(images[i - 1])
+            for j in range(rs.rank):
+                if row[j]:
+                    images[j] = [x - row[j] * b for x, b in zip(images[j], base)]
+            for v in inv_images:
+                v[i - 1] -= sum(row[k] * v[k] for k in range(rs.rank))
+        self.images = tuple(map(tuple, images))
+        self.inv_images = tuple(map(tuple, inv_images))
+
+    @staticmethod
+    def _combine(columns, v: Vector) -> Vector:
+        out = [0] * len(v)
+        for coeff, col in zip(v, columns):
+            for k, x in enumerate(col):
+                out[k] += coeff * x
+        return tuple(out)
+
+    def act(self, v: Vector) -> Vector:
+        return self._combine(self.images, v)
+
+    def act_inv(self, v: Vector) -> Vector:
+        return self._combine(self.inv_images, v)
+
+    def w_positive_roots(self) -> frozenset[Vector]:
+        """Roots beta with w^{-1} beta positive."""
+        return frozenset(v for v in self.rs.roots if sum(self.act_inv(v)) > 0)
+
+
 def _alternating_antidiagonal(n: int) -> np.ndarray:
     J = np.zeros((n, n))
     for k in range(n):

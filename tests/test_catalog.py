@@ -177,9 +177,9 @@ def test_real_form_table_exceptional_entries():
 
 
 def test_family_guards():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         gl_linear(0, 3)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         so_pair(1, 1)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         gl_orthogonal(1)

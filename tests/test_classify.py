@@ -19,7 +19,7 @@ from quasisplit.involution import enumerate_involution_classes, find_class, triv
 from quasisplit.rootdata import build_root_system, identity_automorphism
 from quasisplit.weyl import all_chambers, identity_chamber
 
-from oracles import unipotent_fixed_dim_gl, unipotent_image_dim_gl
+from oracles import VectorChamber, unipotent_fixed_dim_gl, unipotent_image_dim_gl
 
 
 def _classes(type_str):
@@ -125,7 +125,8 @@ def _a3_chamber_permutation(chamber):
         nodes = [i for i, x in enumerate(v) if x]
         return nodes[-1] + 1, nodes[0]
 
-    pairs = [root_to_pair(chamber.act(a)) for a in rs.simple_roots]
+    oracle = VectorChamber(rs, chamber.word)
+    pairs = [root_to_pair(oracle.act(a)) for a in rs.simple_roots]
     perm = [pairs[0][0]]
     for c, d in pairs:
         assert c == perm[-1] or not perm

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +88,15 @@ def test_report_leading_minus_id_via_double_dash(capsys):
     assert "real_form: so(3,2)" in out
 
 
+def test_report_double_dash_class_id(capsys):
+    # the all-minus class of A1+A1 has id "--", written after the "--" separator
+    code, out, err = run_cli(capsys, "report", "A1+A1", "--", "--")
+    assert code == 0 and not err
+    assert out.startswith("root_system: A1+A1\nclass_id: --\ntheta0: 1\ngrading: --\n")
+    code, out, _ = run_cli(capsys, "report", "A1+A1", "--json", "--", "--")
+    assert code == 0 and json.loads(out)["class_id"] == "--"
+
+
 def test_bad_type_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["involutions", "Q7"])
@@ -144,6 +155,17 @@ def test_verify_unknown_check(capsys):
     assert code == 2 and "unknown check" in err
 
 
+@pytest.mark.parametrize(
+    "flags", [["--max-rank", "0"], ["--samples", "0"], ["--samples", "-1"], ["--max-rank", "x"]]
+)
+def test_verify_rejects_nonpositive_scope(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "imaginary-signs", *flags])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "positive integer" in captured.err and not captured.out
+
+
 def test_verify_json(capsys):
     code, out, _ = run_cli(capsys, "verify", "counts", "--json")
     assert code == 0
@@ -197,3 +219,25 @@ def test_console_entry_point_subprocess():
     assert proc.returncode == 0
     assert "root system B2" in proc.stdout
     assert "so(3,2)" in proc.stdout
+
+
+def _run_optimized(*args):
+    """The CLI under python -O, which strips assert statements."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-O", "-m", "quasisplit.cli", *args],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+
+
+@pytest.mark.parametrize("params", [["SO-pair", "1", "1"], ["GL-linear", "0", "3"]])
+def test_family_guards_survive_optimized_mode(params):
+    proc = _run_optimized("family", *params)
+    assert proc.returncode == 2
+    assert "out of range" in proc.stderr and not proc.stdout
+
+
+def test_verify_scope_checks_survive_optimized_mode():
+    proc = _run_optimized("verify", "imaginary-signs", "--max-rank", "0", "--samples", "-1")
+    assert proc.returncode == 2 and not proc.stdout

@@ -51,6 +51,13 @@ def test_check_imaginary_signs_passes_small():
     assert any("exhaustive" in d for d in result.details)
 
 
+def test_empty_sweep_fails():
+    # a sweep that checked no (class, chamber) pair has shown nothing
+    result = check_imaginary_signs(max_rank=0)
+    assert not result.passed
+    assert result.details == ["0 surviving (class, chamber) pairs checked"]
+
+
 def test_fault_injection_is_detected():
     clean = check_imaginary_signs(max_rank=2)
     assert clean.passed

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
 from quasisplit.rootdata import build_root_system, diagram_automorphisms
+from quasisplit.verify import simple_types_up_to
 from quasisplit.weyl import (
-    Chamber,
+    WeylError,
     act_word,
     all_chambers,
     folded_generators,
@@ -11,7 +17,10 @@ from quasisplit.weyl import (
     orbit_partition,
     random_chambers,
     reflect,
+    root_index,
 )
+
+from oracles import VectorChamber
 
 CHAMBER_COUNTS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "G2": 12, "D4": 192, "A1+A1": 4}
 
@@ -28,8 +37,41 @@ def test_identity_chamber():
     rs = build_root_system("B2")
     ch = identity_chamber(rs)
     assert ch.w_positive_roots() == frozenset(rs.positive_roots)
+    assert ch.img == tuple(range(len(rs.roots)))
+    assert ch.images == ch.inv_images == rs.simple_roots
+    oracle = VectorChamber(rs, ch.word)
     for v in rs.roots:
-        assert ch.act(v) == v and ch.act_inv(v) == v
+        assert oracle.act(v) == v and oracle.act_inv(v) == v
+
+
+def _assert_matches_oracle(ch):
+    rs = ch.rs
+    oracle = VectorChamber(rs, ch.word)
+    assert ch.images == oracle.images
+    assert ch.inv_images == oracle.inv_images
+    oracle_positive = oracle.w_positive_roots()
+    assert ch.w_positive_roots() == oracle_positive
+    for k, v in enumerate(rs.roots):
+        assert rs.roots[ch.img[k]] == oracle.act(v)
+        assert bool(ch.positive_mask >> k & 1) == (v in oracle_positive)
+
+
+ORACLE_TYPES = simple_types_up_to(4) + ["A1+A1", "A2+A1", "B2+A1+T1", "A1+A1+A1+A1"]
+
+
+@pytest.mark.parametrize("type_str", ORACLE_TYPES)
+def test_every_chamber_matches_vector_oracle(type_str):
+    # w versus w^{-1}: the indexed chamber must agree with vector arithmetic
+    # on w(alpha_j), w^{-1}(alpha_j) and w(positive roots) for every element
+    for ch in all_chambers(build_root_system(type_str)):
+        _assert_matches_oracle(ch)
+
+
+@pytest.mark.parametrize("type_str", ["B6", "E6"])
+def test_random_chambers_match_vector_oracle(type_str):
+    rs = build_root_system(type_str)
+    for ch in random_chambers(rs, 12, seed=5):
+        _assert_matches_oracle(ch)
 
 
 def test_reflection_is_involution_and_permutes_roots():
@@ -55,9 +97,11 @@ def test_chamber_matches_word_action(type_str, raw_word):
     ch = identity_chamber(rs)
     for i in word:
         ch = ch.extend(i)
-    for v in rs.roots:
-        assert ch.act(v) == act_word(rs, word, v)
-        assert ch.act(ch.act_inv(v)) == v
+    oracle = VectorChamber(rs, word)
+    for k, v in enumerate(rs.roots):
+        assert oracle.act(v) == act_word(rs, word, v)
+        assert oracle.act(oracle.act_inv(v)) == v
+        assert rs.roots[ch.img[k]] == act_word(rs, word, v)
     assert len(ch.w_positive_roots()) == len(rs.positive_roots)
 
 
@@ -66,7 +110,8 @@ def test_longest_element_exists():
         rs = build_root_system(type_str)
         negatives = frozenset(v for v in rs.roots if not rs.is_positive(v))
         assert any(
-            frozenset(ch.act(a) for a in rs.simple_roots) <= negatives for ch in all_chambers(rs)
+            frozenset(VectorChamber(rs, ch.word).act(a) for a in rs.simple_roots) <= negatives
+            for ch in all_chambers(rs)
         )
 
 
@@ -92,6 +137,33 @@ def test_orbit_partition_swap():
 def test_orbit_partition_detects_domain_escape():
     with pytest.raises(ValueError):
         orbit_partition([1, 2], [lambda x: x + 1])
+    with pytest.raises(WeylError):
+        orbit_partition([1, 1], [lambda x: x])
+
+
+def test_all_chambers_refuses_large_groups():
+    with pytest.raises(WeylError, match="refused"):
+        all_chambers(build_root_system("A8"))
+
+
+@pytest.mark.parametrize("type_str", ["A3", "B3", "G2", "D4+A1"])
+def test_root_index_tables(type_str):
+    rs = build_root_system(type_str)
+    ri = root_index(rs)
+    n = len(rs.roots)
+    for i, perm in enumerate(ri.reflections, 1):
+        assert sorted(perm) == list(range(n))
+        assert all(perm[perm[k]] == k for k in range(n))
+        assert all(rs.roots[perm[k]] == reflect(rs, i, v) for k, v in enumerate(rs.roots))
+    assert [rs.roots[k] for k in ri.simple] == list(rs.simple_roots)
+    for k, beta in enumerate(rs.roots):
+        pairs = {
+            frozenset((g, d))
+            for g, gamma in enumerate(rs.roots)
+            for d, delta in enumerate(rs.roots)
+            if tuple(x + y for x, y in zip(gamma, delta)) == beta
+        }
+        assert {ri.bits[min(p)] | ri.bits[max(p)] for p in pairs} == set(ri.sums[k])
 
 
 def test_folded_generators_shapes():
@@ -103,9 +175,9 @@ def test_folded_generators_shapes():
     assert folded_generators(e6, (6, 2, 5, 4, 3, 1)) == ((1, 6), (2,), (3, 5), (4,))
     d4 = build_root_system("D4")
     assert folded_generators(d4, (1, 2, 4, 3)) == ((1,), (2,), (3, 4))
-    with pytest.raises(AssertionError):
+    with pytest.raises(WeylError):
         folded_generators(d4, (3, 2, 4, 1))  # order 3, not an involution
-    with pytest.raises(AssertionError):
+    with pytest.raises(WeylError):
         folded_generators(build_root_system("A3"), (2, 3, 1))
 
 
@@ -131,7 +203,8 @@ def _folded_subgroup_images(rs, words):
 def _commuting_chamber_images(rs, aut):
     out = set()
     for ch in all_chambers(rs):
-        if all(ch.act(aut.on_root(a)) == aut.on_root(ch.act(a)) for a in rs.simple_roots):
+        oracle = VectorChamber(rs, ch.word)
+        if all(oracle.act(aut.on_root(a)) == aut.on_root(oracle.act(a)) for a in rs.simple_roots):
             out.add(ch.images)
     return out
 
@@ -151,3 +224,31 @@ def test_folded_subgroup_order_e6():
     rs = build_root_system("E6")
     folded = _folded_subgroup_images(rs, folded_generators(rs, (6, 2, 5, 4, 3, 1)))
     assert len(folded) == 1152
+
+
+def test_guards_survive_optimized_mode():
+    # python -O strips assert statements; the guards must raise all the same
+    script = """
+from quasisplit.rootdata import build_root_system
+from quasisplit.weyl import WeylError, all_chambers, folded_generators, orbit_partition
+calls = [
+    lambda: all_chambers(build_root_system("A8")),
+    lambda: folded_generators(build_root_system("D4"), (3, 2, 4, 1)),
+    lambda: orbit_partition([1, 1], [lambda x: x]),
+]
+for call in calls:
+    try:
+        call()
+    except WeylError:
+        continue
+    raise SystemExit("guard did not raise")
+print("ok")
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
