@@ -12,18 +12,16 @@ Low ranks fall back to isomorphic small root systems: rank-2 symplectic data
 lives in B2 with the two nodes swapped, rank-3 orthogonal data in A3, rank-2
 orthogonal data in A1+A1.
 
-The module also labels classes with classical real-form names through a
-static table keyed by (type, inner/outer, fixed-subgroup dimension); the
-table is generated from closed-form dimension formulas, never from the
-engine, so it can serve as an independent check.
+The module also labels classes with classical real-form names, keyed by
+(type, inner/outer, fixed-subgroup dimension).  The labels are computed once
+per process from closed-form dimension formulas, never from the engine, so
+they can serve as an independent check.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from importlib import resources
 
 from .classify import fixed_group_dim, split_rank as engine_split_rank
 from .involution import DiagramAutomorphism, Grading, InvolutionClass, find_class
@@ -131,14 +129,8 @@ def gl_linear(m: int, n: int) -> FamilyClass:
 
 def u_pair(m: int, n: int) -> FamilyClass:
     """Signature-(m, n) unitary pair; same engine data as gl_linear."""
-    base = gl_linear(m, n)
-    return FamilyClass(
-        family="U_pair",
-        params=(m, n),
-        ambient=f"GL{m + n}",
-        description=f"unitary pair of signature ({m}, {n})",
-        cls=base.cls,
-        center_fixed_dim=1,
+    return replace(
+        gl_linear(m, n), family="U_pair", description=f"unitary pair of signature ({m}, {n})"
     )
 
 
@@ -266,14 +258,16 @@ FAMILIES = {
 }
 
 
-def generate_real_form_table(max_rank: int = 8) -> dict:
-    """Real-form labels from closed-form dimension formulas.
+@lru_cache(maxsize=1)
+def _real_form_table() -> dict:
+    """Real-form labels from closed-form dimension formulas, rank <= 8.
 
     Keyed type string -> inner/outer -> str(fixed dim) -> label.  Compact
     forms are excluded (the trivial class is labeled directly).  When two
     distinct forms of one type share a fixed dimension the labels merge with
     a tilde; this happens exactly once in scope, on D4.
     """
+    max_rank = 8  # classes of rank 9 and above report as unlabeled
     table: dict[str, dict[str, dict[str, str]]] = {}
 
     def put(type_str: str, kind: str, dim_k: int, label: str):
@@ -327,12 +321,6 @@ def generate_real_form_table(max_rank: int = 8) -> dict:
             chi = dim_g - 2 * dim_k
             put(type_str, kind, dim_k, f"{type_str[0].lower()}{type_str[1]}({chi})")
     return table
-
-
-@lru_cache(maxsize=1)
-def _real_form_table() -> dict:
-    data = resources.files("quasisplit").joinpath("data/real_forms.json").read_text()
-    return json.loads(data)
 
 
 def real_form_label(cls: InvolutionClass) -> str:

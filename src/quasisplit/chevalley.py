@@ -21,6 +21,10 @@ from functools import lru_cache
 from .rootdata import DiagramAutomorphism, RootSystem, Vector
 
 
+class ChevalleyError(ArithmeticError):
+    """A relation among the structure constants or the pinned signs failed."""
+
+
 def _add(a: Vector, b: Vector) -> Vector:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -58,7 +62,8 @@ def coroot_coefficients(rs: RootSystem, a: Vector) -> Vector:
     for i in range(rs.rank):
         num = a[i] * 2 * rs.lengths[i]
         q, r = divmod(num, da2)
-        assert r == 0, f"coroot of {a} not integral"
+        if r:
+            raise ChevalleyError(f"coroot of {a} not integral")
         out.append(q)
     return tuple(out)
 
@@ -83,7 +88,8 @@ class StructureConstants:
             summands.sort(key=root_order_key)
             mu = summands[0]
             nu = _sub(gamma, mu)
-            assert sum(mu) == 1, f"smallest summand of {gamma} is not simple"
+            if sum(mu) != 1:
+                raise ChevalleyError(f"smallest summand of {gamma} is not simple")
             self._extraspecial[gamma] = (mu, nu)
             p = down_string_length(rs, mu, nu)
             self._store(mu, nu, p + 1)
@@ -93,9 +99,10 @@ class StructureConstants:
                     continue
                 value = self._from_four_term(mu, nu, alpha, beta)
                 expect = down_string_length(rs, alpha, beta) + 1
-                assert abs(value) == expect, (
-                    f"constant for {alpha}+{beta} has magnitude {abs(value)}, string gives {expect}"
-                )
+                if abs(value) != expect:
+                    raise ChevalleyError(
+                        f"constant for {alpha}+{beta} has magnitude {abs(value)}, string gives {expect}"
+                    )
                 self._store(alpha, beta, value)
 
     def _store(self, a: Vector, b: Vector, value: int) -> None:
@@ -111,7 +118,8 @@ class StructureConstants:
         t1 = Fraction(self._mixed(nu, alpha) * self._mixed(mu, beta), rs.norm(_sub(nu, alpha)))
         t2 = Fraction(self._mixed(mu, alpha) * self._mixed(nu, beta), rs.norm(_sub(mu, alpha)))
         value = rs.norm(_add(mu, nu)) * (t1 - t2) / self._pos[(mu, nu)]
-        assert value.denominator == 1, "four-term relation gave a non-integral constant"
+        if value.denominator != 1:
+            raise ChevalleyError("four-term relation gave a non-integral constant")
         return int(value)
 
     def _mixed(self, xi: Vector, eta: Vector) -> int:
@@ -128,7 +136,8 @@ class StructureConstants:
             value = rs.norm(delta) * self._pos[(delta, xi)]
             den = rs.norm(eta)
         q, r = divmod(value, den)
-        assert r == 0, "string relation gave a non-integral constant"
+        if r:
+            raise ChevalleyError("string relation gave a non-integral constant")
         return q
 
     def extraspecial_pair(self, gamma: Vector) -> tuple[Vector, Vector]:
@@ -137,7 +146,8 @@ class StructureConstants:
     def n(self, a: Vector, b: Vector) -> int:
         """N(a, b) for roots a, b with a + b a root."""
         s = _add(a, b)
-        assert self.rs.is_root(s), f"{a} + {b} is not a root"
+        if not self.rs.is_root(s):
+            raise ChevalleyError(f"{a} + {b} is not a root")
         apos = sum(a) > 0
         bpos = sum(b) > 0
         if apos and bpos:
@@ -217,7 +227,7 @@ def pinned_signs(rs: RootSystem, aut: DiagramAutomorphism) -> PinnedSigns:
 
     Induction on height: c(gamma) = c(mu) c(nu) N(theta0 mu, theta0 nu) / N(mu, nu)
     for the chosen decomposition gamma = mu + nu, and the same identity is
-    asserted for every other decomposition.  Also asserts c(a) c(theta0 a) = 1,
+    checked for every other decomposition.  Also checks c(a) c(theta0 a) = 1,
     which makes the lift an involution when theta0 is.
     """
     if aut.is_identity:
@@ -240,15 +250,15 @@ def pinned_signs(rs: RootSystem, aut: DiagramAutomorphism) -> PinnedSigns:
             ratio_num = signs[alpha] * signs[beta] * nc.n(aut.on_root(alpha), aut.on_root(beta))
             base = nc.n(alpha, beta)
             q, r = divmod(ratio_num, base)
-            assert r == 0 and q in (1, -1), f"sign at {gamma} is not a unit"
+            if r or q not in (1, -1):
+                raise ChevalleyError(f"sign at {gamma} is not a unit")
             if value is None:
                 value = q
-            else:
-                assert value == q, f"sign at {gamma} depends on the decomposition"
+            elif value != q:
+                raise ChevalleyError(f"sign at {gamma} depends on the decomposition")
         signs[gamma] = value
     if aut.order <= 2:
         for gamma in positives:
-            assert signs[gamma] * signs[aut.on_root(gamma)] == 1, (
-                f"pinned lift fails to square to one at {gamma}"
-            )
+            if signs[gamma] * signs[aut.on_root(gamma)] != 1:
+                raise ChevalleyError(f"pinned lift fails to square to one at {gamma}")
     return PinnedSigns(rs, aut, signs)

@@ -14,9 +14,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .chevalley import pinned_signs
-from .involution import Grading, InvolutionClass
+from .involution import Grading, InvolutionClass, grading_string
 from .rootdata import format_subsystem, identify_subsystem, type_string, Vector
 from .weyl import Chamber, root_index
+
+
+def _check_rep(cls: InvolutionClass, rep: Grading) -> None:
+    if not cls.contains(rep):
+        raise ValueError(f"grading {grading_string(rep)} is not in the orbit of class {cls.class_id!r}")
 
 
 def is_imaginary(cls: InvolutionClass, beta: Vector) -> bool:
@@ -31,16 +36,13 @@ def eps(cls: InvolutionClass, rep: Grading, beta: Vector) -> int:
     torus part is normalized to +1 there.  Negative coefficients only matter
     mod 2, which Python's % already gives.
     """
-    assert is_imaginary(cls, beta), f"{beta} is not imaginary for this class"
+    if not is_imaginary(cls, beta):
+        raise ValueError(f"{beta} is not imaginary for this class")
     value = pinned_signs(cls.rs, cls.aut).c(beta)
     for k, node in enumerate(cls.fixed_nodes):
         if beta[node - 1] % 2:
             value *= rep[k]
     return value
-
-
-def is_compact_imaginary(cls: InvolutionClass, rep: Grading, beta: Vector) -> bool:
-    return eps(cls, rep, beta) == 1
 
 
 class IndexedGrading:
@@ -52,7 +54,7 @@ class IndexedGrading:
     """
 
     def __init__(self, cls: InvolutionClass, rep: Grading):
-        assert cls.contains(rep)
+        _check_rep(cls, rep)
         self.cls = cls
         self.ri = ri = root_index(cls.rs)
         roots = cls.rs.roots
@@ -140,7 +142,8 @@ def fixed_group_dim(cls: InvolutionClass) -> int:
     """Dimension of the fixed subgroup: torus part, compact imaginary root
     spaces, and one dimension per complex root pair."""
     compact, _, cplx = root_counts(cls)
-    assert cplx % 2 == 0
+    if cplx % 2:
+        raise ValueError(f"odd number {cplx} of complex roots: theta0 does not pair them")
     return torus_fixed_dim(cls) + compact + cplx // 2
 
 
@@ -165,7 +168,8 @@ def k_subsystem(cls: InvolutionClass) -> str:
     compact roots form a closed subsystem; the simple ones are the compact
     positives that are not sums of two compact positives.
     """
-    assert cls.is_inner, "compact subsystem type is computed for inner classes"
+    if not cls.is_inner:
+        raise ValueError("compact subsystem type is computed for inner classes")
     rs = cls.rs
     rep = cls.canonical_rep
     compact_pos = [b for b in rs.positive_roots if eps(cls, rep, b) == 1]
@@ -188,7 +192,7 @@ def classify_involution(cls: InvolutionClass) -> ClassSummary:
         root_system=type_string(cls.rs),
         class_id=cls.class_id,
         theta0=cls.aut.cycle_string(),
-        grading="".join("+" if x == 1 else "-" for x in cls.canonical_rep),
+        grading=grading_string(cls.canonical_rep),
         orbit_size=cls.orbit_size,
         quasi_split=cls.quasi_split,
         dim_group=cls.rs.dim_group(),
@@ -208,7 +212,7 @@ def unipotent_fixed_dim(cls: InvolutionClass, rep: Grading, chamber: Chamber) ->
     Compact imaginary roots inside w(positives) each contribute one; complex
     pairs with both members inside contribute one diagonal.
     """
-    assert cls.contains(rep)
+    _check_rep(cls, rep)
     total = 0
     for beta in cls.rs.roots:
         if not chamber.is_w_positive(beta):
@@ -230,7 +234,7 @@ def unipotent_image_dim(cls: InvolutionClass, rep: Grading, chamber: Chamber) ->
     contributes one; a complex wall whose theta0-partner is w-positive
     contributes one, shared when the partner is itself a wall.
     """
-    assert cls.contains(rep)
+    _check_rep(cls, rep)
     walls = set(chamber.images)
     total = 0
     for beta in chamber.images:

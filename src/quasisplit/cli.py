@@ -142,24 +142,8 @@ def cmd_report(args) -> int:
     if args.json:
         print(json.dumps(record, indent=2, sort_keys=True))
         return 0
-    for key in (
-        "root_system",
-        "class_id",
-        "theta0",
-        "grading",
-        "orbit_size",
-        "quasi_split",
-        "dim_group",
-        "dim_fixed",
-        "dim_torus_fixed",
-        "compact_imaginary",
-        "noncompact_imaginary",
-        "complex_roots",
-        "split_rank",
-        "k_type",
-        "real_form",
-    ):
-        print(f"{key}: {record[key]}")
+    for key, value in record.items():
+        print(f"{key}: {value}")
     return 0
 
 

@@ -95,9 +95,6 @@ class InvolutionClass:
     def theta0_on_root(self, v: Vector) -> Vector:
         return self.aut.on_root(v)
 
-    def node_index(self, node: int) -> int:
-        return self.fixed_nodes.index(node)
-
 
 def _grading_action(rs: RootSystem, aut: DiagramAutomorphism, fixed: tuple[int, ...]):
     """Callables giving the folded-generator action on sign vectors.

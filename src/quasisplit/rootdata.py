@@ -165,9 +165,6 @@ class RootSystem:
     def is_positive(self, v: Vector) -> bool:
         return v in self._pos_set
 
-    def height(self, v: Vector) -> int:
-        return sum(v)
-
     def pairing(self, v: Vector, i: int) -> int:
         """<v, alpha_i^vee> for 1-based node i."""
         row = self.cartan[i - 1]

@@ -146,10 +146,9 @@ def check_principal(max_rank: int = 8) -> CheckResult:
     return CheckResult("principal", ok, details)
 
 
-def _chambers_for(rs: RootSystem, samples: int, seed: int, exhaustive: bool,
-                  cutoff: int = DEFAULT_EXHAUSTIVE_CUTOFF) -> tuple[list[Chamber], str]:
+def _chambers_for(rs: RootSystem, samples: int, seed: int, exhaustive: bool) -> tuple[list[Chamber], str]:
     order = rs.weyl_group_order()
-    if order <= cutoff or (exhaustive and order <= max(EXHAUSTIVE_WEYL_BOUND, 51840)):
+    if order <= DEFAULT_EXHAUSTIVE_CUTOFF or (exhaustive and order <= EXHAUSTIVE_WEYL_BOUND):
         return list(all_chambers(rs)), f"exhaustive ({order} chambers)"
     return random_chambers(rs, samples, seed), f"sampled ({samples} chambers, seed {seed})"
 

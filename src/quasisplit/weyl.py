@@ -16,9 +16,9 @@ from typing import Callable, Hashable, Iterable, Sequence
 
 from .rootdata import RootSystem, Vector
 
-# Exhaustive chamber enumeration is kept under this bound; larger groups are
-# sampled (with an explicit exhaustive override where a proof needs one).
-EXHAUSTIVE_WEYL_BOUND = 50_000
+# Exhaustive chamber enumeration is kept under this bound, the order of W(E6),
+# the largest group a sweep enumerates; larger groups are sampled.
+EXHAUSTIVE_WEYL_BOUND = 51_840
 
 
 def reflect(rs: RootSystem, i: int, v: Vector) -> Vector:
@@ -166,11 +166,13 @@ def identity_chamber(rs: RootSystem) -> Chamber:
     return Chamber(root_index(rs), (), tuple(range(len(rs.roots))))
 
 
-@lru_cache(maxsize=8)
+# A sweep needs one group at a time; a larger cache keeps every swept group
+# (up to 51 840 chambers each) alive until the process ends.
+@lru_cache(maxsize=1)
 def all_chambers(rs: RootSystem) -> tuple[Chamber, ...]:
     """Every Weyl group element, by breadth-first search on root permutations."""
     order = rs.weyl_group_order()
-    if order > EXHAUSTIVE_WEYL_BOUND and order != 51840:
+    if order > EXHAUSTIVE_WEYL_BOUND:
         raise WeylError(f"exhaustive enumeration of {order} chambers refused")
     ri = root_index(rs)
     start = identity_chamber(rs)

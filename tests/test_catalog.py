@@ -4,7 +4,6 @@ import pytest
 
 from quasisplit.catalog import (
     FAMILIES,
-    generate_real_form_table,
     gl_linear,
     gl_orthogonal,
     gl_symplectic,
@@ -16,8 +15,9 @@ from quasisplit.catalog import (
     u_pair,
     _real_form_table,
 )
-from quasisplit.involution import trivial_class
+from quasisplit.involution import enumerate_involution_classes, trivial_class
 from quasisplit.rootdata import build_root_system
+from quasisplit.verify import simple_types_up_to
 
 
 def test_gl_linear_dimensions():
@@ -163,12 +163,19 @@ def test_real_form_labels():
     assert real_form_label(so_pair(3, 1).cls) == "unlabeled"  # product type
 
 
-def test_real_form_table_freshness():
-    assert generate_real_form_table() == _real_form_table()
+def test_real_form_labels_cover_rank_8():
+    # the formulas label every class through rank 8 and nothing beyond it
+    for type_str in simple_types_up_to(8):
+        for cls in enumerate_involution_classes(build_root_system(type_str)):
+            assert real_form_label(cls) != "unlabeled", (type_str, cls.class_id)
+    for type_str in ("A9", "D9"):
+        for cls in enumerate_involution_classes(build_root_system(type_str)):
+            if not cls.is_trivial:
+                assert real_form_label(cls) == "unlabeled", (type_str, cls.class_id)
 
 
 def test_real_form_table_exceptional_entries():
-    table = generate_real_form_table()
+    table = _real_form_table()
     assert table["E6"]["inner"] == {"38": "e6(2)", "46": "e6(-14)"}
     assert table["E6"]["outer"] == {"36": "e6(6)", "52": "e6(-26)"}
     assert table["G2"]["inner"] == {"6": "g2(2)"}

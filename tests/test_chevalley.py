@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quasisplit.chevalley import (
+    ChevalleyError,
     coroot_coefficients,
     down_string_length,
     pinned_signs,
@@ -67,7 +68,7 @@ def test_sign_symmetries(type_str):
 def test_n_rejects_non_root_sum():
     rs = build_root_system("A2")
     nc = structure_constants(rs)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ChevalleyError):
         nc.n((1, 0), (1, 1))  # sum (2, 1) is not a root
 
 

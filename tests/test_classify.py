@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -110,7 +114,7 @@ def test_counts_are_orbit_invariant():
 
 def test_eps_rejects_complex_roots():
     cls = _by_id("A3")["(13):+"]
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         eps(cls, cls.canonical_rep, (1, 0, 0))
 
 
@@ -204,7 +208,7 @@ def test_split_rank_values():
 
 
 def test_k_subsystem_inner_only():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         k_subsystem(_by_id("A2")["(12)"])
 
 
@@ -222,3 +226,37 @@ def test_dim_identity_imaginary_plus_complex():
             assert fixed_group_dim(cls) + (noncompact + cplx // 2) == cls.rs.dim_group() - (
                 cls.rs.rank - torus_fixed_dim(cls)
             )
+
+
+def test_preconditions_survive_optimized_mode():
+    # python -O strips assert statements; the classify and chevalley checks
+    # must raise all the same
+    script = """
+from quasisplit.chevalley import ChevalleyError, structure_constants
+from quasisplit.classify import eps, indexed_grading, k_subsystem
+from quasisplit.involution import enumerate_involution_classes
+from quasisplit.rootdata import build_root_system
+by_id = {c.class_id: c for c in enumerate_involution_classes(build_root_system("A3"))}
+outer, inner = by_id["(13):+"], by_id["+-+"]
+calls = [
+    lambda: k_subsystem(outer),
+    lambda: eps(outer, outer.canonical_rep, (1, 0, 0)),
+    lambda: indexed_grading(inner, (1, 1, 1)),
+    lambda: structure_constants(build_root_system("A2")).n((1, 0), (1, 1)),
+]
+for call in calls:
+    try:
+        call()
+    except (ValueError, ChevalleyError):
+        continue
+    raise SystemExit("check did not raise")
+print("ok")
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"

@@ -12,6 +12,7 @@ from quasisplit.verify import (
     simple_types_up_to,
     transport_orbit_partition,
 )
+from quasisplit.weyl import all_chambers
 
 
 def test_simple_types_up_to():
@@ -49,6 +50,13 @@ def test_check_imaginary_signs_passes_small():
     result = check_imaginary_signs(max_rank=3)
     assert result.passed
     assert any("exhaustive" in d for d in result.details)
+
+
+def test_exhaustive_sweep_keeps_one_group():
+    # a sweep needs one Weyl group at a time; the cache must not hold the rest
+    result = check_imaginary_signs(max_rank=4, exhaustive=True)
+    assert result.passed
+    assert all_chambers.cache_info().currsize <= 1
 
 
 def test_empty_sweep_fails():
