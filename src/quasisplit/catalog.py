@@ -259,25 +259,23 @@ FAMILIES = {
 
 
 @lru_cache(maxsize=1)
-def _real_form_table() -> dict:
+def _real_form_table() -> dict[tuple[str, str, int], str]:
     """Real-form labels from closed-form dimension formulas, rank <= 8.
 
-    Keyed type string -> inner/outer -> str(fixed dim) -> label.  Compact
+    Keyed (type string, "inner" or "outer", fixed dim) -> label.  Compact
     forms are excluded (the trivial class is labeled directly).  When two
     distinct forms of one type share a fixed dimension the labels merge with
     a tilde; this happens exactly once in scope, on D4.
     """
     max_rank = 8  # classes of rank 9 and above report as unlabeled
-    table: dict[str, dict[str, dict[str, str]]] = {}
+    table: dict[tuple[str, str, int], str] = {}
 
     def put(type_str: str, kind: str, dim_k: int, label: str):
-        entry = table.setdefault(type_str, {}).setdefault(kind, {})
-        key = str(dim_k)
-        if key in entry:
-            if label != entry[key]:
-                entry[key] = f"{entry[key]} ~ {label}"
-        else:
-            entry[key] = label
+        key = (type_str, kind, dim_k)
+        if key not in table:
+            table[key] = label
+        elif label != table[key]:
+            table[key] = f"{table[key]} ~ {label}"
 
     for rank in range(1, max_rank + 1):
         n = rank + 1
@@ -335,5 +333,4 @@ def real_form_label(cls: InvolutionClass) -> str:
     if len(rs.components) != 1 or rs.central_torus_dim:
         return "unlabeled"
     kind = "inner" if cls.is_inner else "outer"
-    per_type = _real_form_table().get(type_string(rs), {})
-    return per_type.get(kind, {}).get(str(fixed_group_dim(cls)), "unlabeled")
+    return _real_form_table().get((type_string(rs), kind, fixed_group_dim(cls)), "unlabeled")

@@ -4,14 +4,20 @@ Root-space bookkeeping at the standard maximal torus: a root is imaginary
 when theta0 fixes it and complex otherwise (theta0 preserves positivity, so
 no root is sent to its negative here).  Imaginary roots carry a sign eps
 built from the pinned signs and the grading vector; eps = +1 marks root
-spaces inside the fixed subgroup.  Dimensions, quasi-split ranks, and the
-compact subsystem type all come from these counts.
+spaces inside the fixed subgroup.
+
+IndexedGrading is the one per-root table of a (class, grading): theta0 as a
+permutation of root indices (see weyl.root_index), eps per root index, and
+the imaginary and compact imaginary roots as bitmasks.  Root counts,
+dimensions, the compact subsystem type, the unipotent dimensions at a chamber
+and the generic-character test are all read from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 from .chevalley import pinned_signs
 from .involution import Grading, InvolutionClass, grading_string
@@ -24,44 +30,43 @@ def _check_rep(cls: InvolutionClass, rep: Grading) -> None:
         raise ValueError(f"grading {grading_string(rep)} is not in the orbit of class {cls.class_id!r}")
 
 
-def is_imaginary(cls: InvolutionClass, beta: Vector) -> bool:
-    return cls.theta0_on_root(beta) == beta
-
-
-def eps(cls: InvolutionClass, rep: Grading, beta: Vector) -> int:
-    """Sign of theta on the root space of an imaginary root.
-
-    Product of the pinned sign and the grading signs at the fixed-node
-    coefficients; swapped-node coefficients never contribute because the
-    torus part is normalized to +1 there.  Negative coefficients only matter
-    mod 2, which Python's % already gives.
-    """
-    if not is_imaginary(cls, beta):
-        raise ValueError(f"{beta} is not imaginary for this class")
-    value = pinned_signs(cls.rs, cls.aut).c(beta)
-    for k, node in enumerate(cls.fixed_nodes):
-        if beta[node - 1] % 2:
-            value *= rep[k]
-    return value
-
-
 class IndexedGrading:
     """One class at one grading, in root-index form (see weyl.root_index).
 
     theta is theta0 as a permutation of root indices, signs[k] the eps of an
     imaginary root k (0 on complex roots), and imaginary and compact the
     bitmasks of the imaginary and of the compact imaginary roots.
+
+    eps of an imaginary root is its pinned sign times the grading signs at
+    the fixed-node coefficients; swapped-node coefficients never contribute
+    because the torus part is normalized to +1 there.  So it is the pinned
+    sign times -1 to the sum of the coefficients at the minus nodes.
     """
 
     def __init__(self, cls: InvolutionClass, rep: Grading):
         _check_rep(cls, rep)
         self.cls = cls
         self.ri = ri = root_index(cls.rs)
-        roots = cls.rs.roots
-        self.theta = tuple(ri.index[cls.theta0_on_root(b)] for b in roots)
-        self.signs = tuple(eps(cls, rep, b) if self.theta[k] == k else 0 for k, b in enumerate(roots))
-        self.imaginary = ri.mask(k for k, t in enumerate(self.theta) if t == k)
-        self.compact = ri.mask(k for k, sign in enumerate(self.signs) if sign == 1)
+        pinned = pinned_signs(cls.rs, cls.aut).c
+        minus = [node - 1 for node, s in zip(cls.fixed_nodes, rep) if s == -1]
+        theta, signs = [], []
+        for k, beta in enumerate(cls.rs.roots):
+            t = ri.index[cls.theta0_on_root(beta)]
+            theta.append(t)
+            if t != k:
+                signs.append(0)
+            elif sum(beta[i] for i in minus) % 2:
+                signs.append(-pinned(beta))
+            else:
+                signs.append(pinned(beta))
+        self.theta = tuple(theta)
+        self.signs = tuple(signs)
+        self.imaginary = ri.mask(k for k, t in enumerate(theta) if t == k)
+        self.compact = ri.mask(k for k, sign in enumerate(signs) if sign == 1)
+
+    def theta_mask(self, indices: Iterable[int]) -> int:
+        """Bitmask of theta0 applied to the given root indices."""
+        return self.ri.mask(map(self.theta.__getitem__, indices))
 
     def admits_generic(self, chamber: Chamber) -> bool:
         """Whether some wall-generic character kills the fixed unipotent part.
@@ -77,23 +82,22 @@ class IndexedGrading:
             return False
         if self.cls.is_inner:  # theta0 fixes every wall
             return True
-        partners = self.ri.mask(map(self.theta.__getitem__, chamber.walls)) & ~walls
+        partners = self.theta_mask(chamber.walls) & ~walls
         return not (partners and partners & chamber.positive_mask)
-
-    def imaginary_simples(self, chamber: Chamber) -> list[int]:
-        """Indices of the simple roots of the w-positive imaginary roots: the
-        members that are not the sum of two members."""
-        members = self.imaginary & chamber.positive_mask
-        sums = self.ri.sums
-        return [
-            k for k in range(len(sums))
-            if members >> k & 1 and not any(members & pair == pair for pair in sums[k])
-        ]
 
 
 @lru_cache(maxsize=None)
 def indexed_grading(cls: InvolutionClass, rep: Grading) -> IndexedGrading:
     return IndexedGrading(cls, rep)
+
+
+def eps(cls: InvolutionClass, rep: Grading, beta: Vector) -> int:
+    """Sign of theta on the root space of an imaginary root."""
+    g = indexed_grading(cls, rep)
+    sign = g.signs[g.ri.index[beta]]
+    if not sign:
+        raise ValueError(f"{beta} is not imaginary for this class")
+    return sign
 
 
 @dataclass(frozen=True)
@@ -125,17 +129,10 @@ def torus_fixed_dim(cls: InvolutionClass) -> int:
 @lru_cache(maxsize=None)
 def root_counts(cls: InvolutionClass) -> tuple[int, int, int]:
     """(compact imaginary, noncompact imaginary, complex), over all roots."""
-    rep = cls.canonical_rep
-    compact = noncompact = cplx = 0
-    for beta in cls.rs.roots:
-        if is_imaginary(cls, beta):
-            if eps(cls, rep, beta) == 1:
-                compact += 1
-            else:
-                noncompact += 1
-        else:
-            cplx += 1
-    return compact, noncompact, cplx
+    g = indexed_grading(cls, cls.canonical_rep)
+    compact = g.compact.bit_count()
+    imaginary = g.imaginary.bit_count()
+    return compact, imaginary - compact, len(g.theta) - imaginary
 
 
 def fixed_group_dim(cls: InvolutionClass) -> int:
@@ -171,16 +168,9 @@ def k_subsystem(cls: InvolutionClass) -> str:
     if not cls.is_inner:
         raise ValueError("compact subsystem type is computed for inner classes")
     rs = cls.rs
-    rep = cls.canonical_rep
-    compact_pos = [b for b in rs.positive_roots if eps(cls, rep, b) == 1]
-    compact_set = set(compact_pos)
-    simples = []
-    for beta in compact_pos:
-        decomposable = any(
-            tuple(b - g for b, g in zip(beta, gamma)) in compact_set for gamma in compact_pos
-        )
-        if not decomposable:
-            simples.append(beta)
+    g = indexed_grading(cls, cls.canonical_rep)
+    positives = (1 << g.ri.npos) - 1
+    simples = [rs.roots[k] for k in g.ri.simples(g.compact & positives)]
     types = identify_subsystem(rs, simples)
     residual = rs.rank - len(simples) + rs.central_torus_dim
     return format_subsystem(types, residual)
@@ -212,18 +202,11 @@ def unipotent_fixed_dim(cls: InvolutionClass, rep: Grading, chamber: Chamber) ->
     Compact imaginary roots inside w(positives) each contribute one; complex
     pairs with both members inside contribute one diagonal.
     """
-    _check_rep(cls, rep)
-    total = 0
-    for beta in cls.rs.roots:
-        if not chamber.is_w_positive(beta):
-            continue
-        tb = cls.theta0_on_root(beta)
-        if tb == beta:
-            if eps(cls, rep, beta) == 1:
-                total += 1
-        elif tb > beta and chamber.is_w_positive(tb):
-            total += 1
-    return total
+    g = indexed_grading(cls, rep)
+    positive = chamber.positive_mask
+    complex_positive = positive & ~g.imaginary
+    pairs = complex_positive & g.theta_mask(g.ri.indices(complex_positive))
+    return (g.compact & positive).bit_count() + pairs.bit_count() // 2
 
 
 def unipotent_image_dim(cls: InvolutionClass, rep: Grading, chamber: Chamber) -> int:
@@ -234,21 +217,12 @@ def unipotent_image_dim(cls: InvolutionClass, rep: Grading, chamber: Chamber) ->
     contributes one; a complex wall whose theta0-partner is w-positive
     contributes one, shared when the partner is itself a wall.
     """
-    _check_rep(cls, rep)
-    walls = set(chamber.images)
-    total = 0
-    for beta in chamber.images:
-        tb = cls.theta0_on_root(beta)
-        if tb == beta:
-            if eps(cls, rep, beta) == 1:
-                total += 1
-        elif chamber.is_w_positive(tb):
-            if tb in walls:
-                if beta < tb:
-                    total += 1
-            else:
-                total += 1
-    return total
+    g = indexed_grading(cls, rep)
+    walls = chamber.wall_mask
+    partners = g.theta_mask(g.ri.indices(walls & ~g.imaginary))
+    interior = partners & chamber.positive_mask & ~walls
+    shared = partners & walls
+    return (g.compact & walls).bit_count() + interior.bit_count() + shared.bit_count() // 2
 
 
 def admits_generic_character(cls: InvolutionClass, rep: Grading, chamber: Chamber) -> bool:

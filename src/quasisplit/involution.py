@@ -28,7 +28,7 @@ from .rootdata import (
     diagram_automorphisms,
     identity_automorphism,
 )
-from .weyl import act_word, folded_generators, orbit_partition
+from .weyl import folded_generators, orbit_partition, root_index
 
 Grading = tuple[int, ...]
 
@@ -101,16 +101,21 @@ def _grading_action(rs: RootSystem, aut: DiagramAutomorphism, fixed: tuple[int, 
 
     A generator g sends s to s' with s'_i = c(g(alpha_i)) * prod_j s_j^(m_j),
     m the coefficient vector of g(alpha_i); only fixed-node coefficients
-    matter since the cocycle is normalized to +1 on swapped nodes.  Folded
-    generators are involutions, so g and g^{-1} need not be distinguished.
+    matter since the cocycle is normalized to +1 on swapped nodes.  g(alpha_i)
+    is found by moving the root index of alpha_i through the simple
+    reflections of the word.  Folded generators are involutions, so g and
+    g^{-1} need not be distinguished.
     """
     signs = pinned_signs(rs, aut)
+    ri = root_index(rs)
     actions = []
     for word in folded_generators(rs, aut.perm):
         rows = []
         for node in fixed:
-            alpha = tuple(int(k == node - 1) for k in range(rs.rank))
-            image = act_word(rs, word, alpha)
+            k = ri.simple[node - 1]
+            for i in reversed(word):
+                k = ri.reflections[i - 1][k]
+            image = rs.roots[k]
             mask = tuple(image[f - 1] % 2 for f in fixed)
             rows.append((signs.c(image), mask))
         actions.append(rows)

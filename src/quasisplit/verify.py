@@ -176,7 +176,7 @@ def check_imaginary_signs(
                 if not g.admits_generic(ch):
                     continue
                 scanned += 1
-                simples = g.imaginary_simples(ch)
+                simples = g.ri.simples(g.imaginary & ch.positive_mask)
                 for i, k in enumerate(simples):
                     sign = g.signs[k]
                     if fault_pending and i == 0:

@@ -30,13 +30,6 @@ def reflect(rs: RootSystem, i: int, v: Vector) -> Vector:
     return tuple(out)
 
 
-def act_word(rs: RootSystem, word: Sequence[int], v: Vector) -> Vector:
-    """Apply s_{word[0]} ... s_{word[-1]} to v, rightmost letter first."""
-    for i in reversed(word):
-        v = reflect(rs, i, v)
-    return v
-
-
 class WeylError(ValueError):
     """A chamber request this module refuses, or a broken internal invariant."""
 
@@ -80,17 +73,50 @@ class RootIndex:
         """Bitmask of distinct root indices."""
         return sum(map(self.bits.__getitem__, indices))
 
+    @staticmethod
+    def indices(mask: int) -> list[int]:
+        """Root indices of the bits set in mask, in increasing order."""
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
+
     @cached_property
     def sums(self) -> tuple[tuple[int, ...], ...]:
-        """sums[k]: the masks of the root pairs {g, d} with root_g + root_d = root_k."""
-        out: list[list[int]] = [[] for _ in self.rs.roots]
-        roots = self.rs.roots
-        for g, gamma in enumerate(roots):
-            for d in range(g + 1, len(roots)):
-                k = self.index.get(tuple(map(add, gamma, roots[d])))
-                if k is not None:
-                    out[k].append(self.bits[g] | self.bits[d])
+        """sums[k]: the masks of the root pairs {g, d} with root_g + root_d = root_k.
+
+        Built from the positive triples a + b = c.  Each gives six relations,
+        a + b = c, c - a = b, c - b = a and their negatives, and every
+        relation among three roots is one of these.  The negative of root k
+        is root k + npos.
+        """
+        roots, npos, bits = self.rs.roots, self.npos, self.bits
+        out: list[list[int]] = [[] for _ in roots]
+        for a in range(npos):
+            alpha = roots[a]
+            for b in range(a + 1, npos):
+                c = self.index.get(tuple(map(add, alpha, roots[b])))
+                if c is None:
+                    continue
+                na, nb, nc = a + npos, b + npos, c + npos
+                out[c].append(bits[a] | bits[b])
+                out[b].append(bits[c] | bits[na])
+                out[a].append(bits[c] | bits[nb])
+                out[nc].append(bits[na] | bits[nb])
+                out[nb].append(bits[nc] | bits[a])
+                out[na].append(bits[nc] | bits[b])
         return tuple(map(tuple, out))
+
+    def simples(self, members: int) -> list[int]:
+        """Indices of the members that are not the sum of two members: the
+        simple roots of a positive system given as a mask."""
+        sums = self.sums
+        return [
+            k for k in self.indices(members)
+            if not any(members & pair == pair for pair in sums[k])
+        ]
 
 
 @lru_cache(maxsize=None)
@@ -144,15 +170,6 @@ class Chamber:
     def images(self) -> tuple[Vector, ...]:
         """w(alpha_j) in simple-root coordinates."""
         return tuple(map(self.rs.roots.__getitem__, self.walls))
-
-    @property
-    def inv_images(self) -> tuple[Vector, ...]:
-        """w^{-1}(alpha_j) in simple-root coordinates."""
-        return tuple(self.rs.roots[self.img.index(s)] for s in self.ri.simple)
-
-    def is_w_positive(self, v: Vector) -> bool:
-        """True iff the root v lies in w(positive roots)."""
-        return bool(self.positive_mask >> self.ri.index[v] & 1)
 
     def extend(self, i: int) -> "Chamber":
         """Right multiplication by s_i: w -> w s_i."""

@@ -12,7 +12,8 @@ import itertools
 
 import numpy as np
 
-from quasisplit.rootdata import RootSystem, Vector
+from quasisplit.chevalley import pinned_signs
+from quasisplit.rootdata import RootSystem, Vector, format_subsystem, identify_subsystem
 
 
 def roots_by_reflection_closure(rs: RootSystem) -> frozenset[Vector]:
@@ -83,6 +84,63 @@ class VectorChamber:
     def w_positive_roots(self) -> frozenset[Vector]:
         """Roots beta with w^{-1} beta positive."""
         return frozenset(v for v in self.rs.roots if sum(self.act_inv(v)) > 0)
+
+
+def _eps_by_vectors(cls, rep, beta: Vector) -> int:
+    """eps of an imaginary root: pinned sign times the grading signs at the
+    fixed nodes where beta has an odd coefficient."""
+    value = pinned_signs(cls.rs, cls.aut).c(beta)
+    for k, node in enumerate(cls.fixed_nodes):
+        if beta[node - 1] % 2:
+            value *= rep[k]
+    return value
+
+
+def unipotent_fixed_dim_by_vectors(cls, rep, positive: frozenset[Vector]) -> int:
+    """Fixed unipotent dimension at a chamber with w-positive roots positive,
+    root by root: compact imaginary roots count one, complex pairs inside
+    count one diagonal."""
+    total = 0
+    for beta in positive:
+        tb = cls.theta0_on_root(beta)
+        if tb == beta:
+            if _eps_by_vectors(cls, rep, beta) == 1:
+                total += 1
+        elif tb > beta and tb in positive:
+            total += 1
+    return total
+
+
+def unipotent_image_dim_by_vectors(cls, rep, walls: tuple[Vector, ...], positive: frozenset[Vector]) -> int:
+    """Wall image of the fixed unipotent part, wall by wall: a compact wall
+    counts one, a complex wall with w-positive partner counts one, shared
+    when the partner is a wall too."""
+    total = 0
+    for beta in walls:
+        tb = cls.theta0_on_root(beta)
+        if tb == beta:
+            if _eps_by_vectors(cls, rep, beta) == 1:
+                total += 1
+        elif tb in positive:
+            if tb not in walls or beta < tb:
+                total += 1
+    return total
+
+
+def k_subsystem_by_vectors(cls) -> str:
+    """Compact subsystem type of an inner class: the compact positive roots
+    that are not a compact positive root plus another, found by vector
+    subtraction."""
+    rs = cls.rs
+    rep = cls.canonical_rep
+    compact_pos = [b for b in rs.positive_roots if _eps_by_vectors(cls, rep, b) == 1]
+    compact_set = set(compact_pos)
+    simples = [
+        beta for beta in compact_pos
+        if not any(tuple(b - g for b, g in zip(beta, gamma)) in compact_set for gamma in compact_pos)
+    ]
+    residual = rs.rank - len(simples) + rs.central_torus_dim
+    return format_subsystem(identify_subsystem(rs, simples), residual)
 
 
 def _alternating_antidiagonal(n: int) -> np.ndarray:

@@ -176,11 +176,15 @@ def test_real_form_labels_cover_rank_8():
 
 def test_real_form_table_exceptional_entries():
     table = _real_form_table()
-    assert table["E6"]["inner"] == {"38": "e6(2)", "46": "e6(-14)"}
-    assert table["E6"]["outer"] == {"36": "e6(6)", "52": "e6(-26)"}
-    assert table["G2"]["inner"] == {"6": "g2(2)"}
-    assert table["F4"]["inner"] == {"24": "f4(4)", "36": "f4(-20)"}
-    assert table["D4"]["inner"]["16"] == "so(6,2) ~ so*(8)"
+
+    def entries(type_str, kind):
+        return {dim: label for (t, k, dim), label in table.items() if (t, k) == (type_str, kind)}
+
+    assert entries("E6", "inner") == {38: "e6(2)", 46: "e6(-14)"}
+    assert entries("E6", "outer") == {36: "e6(6)", 52: "e6(-26)"}
+    assert entries("G2", "inner") == {6: "g2(2)"}
+    assert entries("F4", "inner") == {24: "f4(4)", 36: "f4(-20)"}
+    assert table["D4", "inner", 16] == "so(6,2) ~ so*(8)"
 
 
 def test_family_guards():

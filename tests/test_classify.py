@@ -11,7 +11,6 @@ from quasisplit.classify import (
     classify_involution,
     eps,
     fixed_group_dim,
-    is_imaginary,
     k_subsystem,
     root_counts,
     split_rank,
@@ -21,9 +20,17 @@ from quasisplit.classify import (
 )
 from quasisplit.involution import enumerate_involution_classes, find_class, trivial_class
 from quasisplit.rootdata import build_root_system, identity_automorphism
+from quasisplit.verify import simple_types_up_to
 from quasisplit.weyl import all_chambers, identity_chamber
 
-from oracles import VectorChamber, unipotent_fixed_dim_gl, unipotent_image_dim_gl
+from oracles import (
+    VectorChamber,
+    k_subsystem_by_vectors,
+    unipotent_fixed_dim_by_vectors,
+    unipotent_fixed_dim_gl,
+    unipotent_image_dim_by_vectors,
+    unipotent_image_dim_gl,
+)
 
 
 def _classes(type_str):
@@ -102,7 +109,7 @@ def test_counts_are_orbit_invariant():
             for rep in cls.orbit:
                 compact = noncompact = cplx = 0
                 for beta in cls.rs.roots:
-                    if is_imaginary(cls, beta):
+                    if cls.theta0_on_root(beta) == beta:
                         if eps(cls, rep, beta) == 1:
                             compact += 1
                         else:
@@ -150,6 +157,29 @@ def test_unipotent_dims_match_gl4_oracle():
         for ch, perm in zip(chambers, perms):
             assert unipotent_fixed_dim(cls, grading, ch) == unipotent_fixed_dim_gl(d, perm)
             assert unipotent_image_dim(cls, grading, ch) == unipotent_image_dim_gl(d, perm)
+
+
+@pytest.mark.parametrize("type_str", ["A2", "A3", "B3", "C3", "G2", "D4", "A2+A1"])
+def test_unipotent_dims_match_vector_oracle(type_str):
+    # every (class, orbit rep, chamber), outer classes included; the oracle
+    # reads w-positivity from vector arithmetic and eps root by root
+    rs = build_root_system(type_str)
+    chambers = all_chambers(rs)
+    views = [(o.images, o.w_positive_roots()) for o in (VectorChamber(rs, ch.word) for ch in chambers)]
+    for cls in enumerate_involution_classes(rs):
+        for rep in cls.orbit:
+            for ch, (walls, positive) in zip(chambers, views):
+                assert unipotent_fixed_dim(cls, rep, ch) == unipotent_fixed_dim_by_vectors(cls, rep, positive)
+                assert unipotent_image_dim(cls, rep, ch) == unipotent_image_dim_by_vectors(
+                    cls, rep, walls, positive
+                )
+
+
+def test_k_subsystem_matches_vector_oracle():
+    for type_str in simple_types_up_to(8):
+        for cls in _classes(type_str):
+            if cls.is_inner:
+                assert k_subsystem(cls) == k_subsystem_by_vectors(cls), (type_str, cls.class_id)
 
 
 def test_unipotent_fixed_dim_trivial_class():

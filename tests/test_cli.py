@@ -57,6 +57,33 @@ def test_involutions_merge(capsys):
     assert "(34):+- (13):+- (14):+-" in out
 
 
+def test_zero_root_systems(capsys):
+    # no roots at all: every root mask is empty (npos == 0)
+    code, out, err = run_cli(capsys, "involutions", "T0")
+    assert code == 0 and not err
+    assert out == (
+        "root system T0: dim 0, 1 involution classes\n"
+        "class  theta0  grading  orbit  quasi-split  dim-fixed  real-form\n"
+        "1      1                1      yes          0          compact\n"
+    )
+    code, out, err = run_cli(capsys, "involutions", "T2", "--json")
+    assert code == 0 and not err
+    assert json.loads(out) == [{
+        "class_id": "", "compact_imaginary": 0, "complex_roots": 0, "dim_fixed": 2,
+        "dim_group": 2, "dim_torus_fixed": 2, "grading": "", "k_type": "T2",
+        "noncompact_imaginary": 0, "orbit_size": 1, "quasi_split": True,
+        "real_form": "compact", "root_system": "T2", "split_rank": 0, "theta0": "1",
+    }]
+    code, out, err = run_cli(capsys, "report", "T2", "1")
+    assert code == 0 and not err
+    assert out == (
+        "root_system: T2\nclass_id: \ntheta0: 1\ngrading: \norbit_size: 1\n"
+        "quasi_split: True\ndim_group: 2\ndim_fixed: 2\ndim_torus_fixed: 2\n"
+        "compact_imaginary: 0\nnoncompact_imaginary: 0\ncomplex_roots: 0\n"
+        "split_rank: 0\nk_type: T2\nreal_form: compact\n"
+    )
+
+
 def test_report_text_and_json(capsys):
     code, out, _ = run_cli(capsys, "report", "E6", "(16)(35):+-")
     assert code == 0

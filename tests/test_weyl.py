@@ -10,7 +10,6 @@ from quasisplit.rootdata import build_root_system, diagram_automorphisms
 from quasisplit.verify import simple_types_up_to
 from quasisplit.weyl import (
     WeylError,
-    act_word,
     all_chambers,
     folded_generators,
     identity_chamber,
@@ -38,7 +37,7 @@ def test_identity_chamber():
     ch = identity_chamber(rs)
     assert ch.w_positive_roots() == frozenset(rs.positive_roots)
     assert ch.img == tuple(range(len(rs.roots)))
-    assert ch.images == ch.inv_images == rs.simple_roots
+    assert ch.images == rs.simple_roots
     oracle = VectorChamber(rs, ch.word)
     for v in rs.roots:
         assert oracle.act(v) == v and oracle.act_inv(v) == v
@@ -48,7 +47,6 @@ def _assert_matches_oracle(ch):
     rs = ch.rs
     oracle = VectorChamber(rs, ch.word)
     assert ch.images == oracle.images
-    assert ch.inv_images == oracle.inv_images
     oracle_positive = oracle.w_positive_roots()
     assert ch.w_positive_roots() == oracle_positive
     for k, v in enumerate(rs.roots):
@@ -87,6 +85,13 @@ def test_reflection_is_involution_and_permutes_roots():
         assert all(rs.is_positive(reflect(rs, i, v)) for v in moved)
 
 
+def _act_word(rs, word, v):
+    """s_{word[0]} ... s_{word[-1]} applied to v, rightmost letter first."""
+    for i in reversed(word):
+        v = reflect(rs, i, v)
+    return v
+
+
 @given(
     st.sampled_from(["A2", "B2", "A3", "G2"]),
     st.lists(st.integers(min_value=1, max_value=2), max_size=8),
@@ -99,9 +104,9 @@ def test_chamber_matches_word_action(type_str, raw_word):
         ch = ch.extend(i)
     oracle = VectorChamber(rs, word)
     for k, v in enumerate(rs.roots):
-        assert oracle.act(v) == act_word(rs, word, v)
+        assert oracle.act(v) == _act_word(rs, word, v)
         assert oracle.act(oracle.act_inv(v)) == v
-        assert rs.roots[ch.img[k]] == act_word(rs, word, v)
+        assert rs.roots[ch.img[k]] == _act_word(rs, word, v)
     assert len(ch.w_positive_roots()) == len(rs.positive_roots)
 
 
