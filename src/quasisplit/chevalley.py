@@ -1,15 +1,17 @@
 """Chevalley structure constants and pinned lifts of diagram automorphisms.
 
-Signs of the constants N(a, b) are fixed by choosing, for each positive
-non-simple root, the decomposition with the smallest first summand and
-declaring its constant positive.  Every other constant follows from the
-standard relations among constants of four roots summing to zero and of
-three roots summing to zero.  Magnitudes are p + 1 where p is the length of
-the descending root string.
+Roots are root indices (weyl.root_index), and the decompositions
+gamma = alpha + beta of a positive root are the positive pairs of
+RootIndex.sums, smallest alpha first.  Signs of the constants N(a, b) are
+fixed by declaring the constant of the first pair, the extraspecial pair,
+positive.  Every other constant follows from the standard relations among
+constants of four roots summing to zero and of three roots summing to zero.
+Magnitudes are p + 1 where p is the length of the descending root string.
 
-A diagram automorphism lifts to the algebra fixing the simple root vectors;
-on the remaining root vectors it acts by signs c(a) computed inductively.
-Those signs are what the involution enumeration consumes.
+A diagram automorphism theta0 lifts to the algebra fixing the simple root
+vectors; on the remaining root vectors it acts by signs c(a) computed
+inductively.  PinnedSigns holds theta0 as a root-index permutation and c
+per root index, which the involution enumeration and classification read.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .rootdata import DiagramAutomorphism, RootSystem, Vector
+from .weyl import RootIndex, root_index
 
 
 class ChevalleyError(ArithmeticError):
@@ -33,12 +36,11 @@ def _sub(a: Vector, b: Vector) -> Vector:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _neg(a: Vector) -> Vector:
-    return tuple(-x for x in a)
-
-
-def root_order_key(v: Vector) -> tuple[int, Vector]:
-    return (sum(v), v)
+def _positive_pairs(ri: RootIndex, gamma: int) -> list[list[int]]:
+    """Index pairs [a, b], a < b, of positive roots with root_a + root_b = root_gamma,
+    smallest a first as ri.sums lists them: the first is the extraspecial pair."""
+    limit = 1 << ri.npos
+    return [ri.indices(pair) for pair in ri.sums[gamma] if pair < limit]
 
 
 def down_string_length(rs: RootSystem, a: Vector, through: Vector) -> int:
@@ -69,100 +71,110 @@ def coroot_coefficients(rs: RootSystem, a: Vector) -> Vector:
 
 
 class StructureConstants:
-    """N(a, b) for every pair of roots with a + b a root."""
+    """N(a, b) for every pair of roots with a + b a root.
+
+    Roots are root indices (weyl.root_index).  pos[(a, b)] is N(a, b) for
+    positive a, b; _diff[(x, y)] is the index of x - y for positive x, y
+    when that is a root; _norm[k] is the squared length of root k.
+    """
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        self._pos: dict[tuple[Vector, Vector], int] = {}
-        self._extraspecial: dict[Vector, tuple[Vector, Vector]] = {}
+        self.ri = root_index(rs)
+        self.pos: dict[tuple[int, int], int] = {}
+        self._diff: dict[tuple[int, int], int] = {}
+        self._norm = tuple(map(rs.norm, rs.roots))
         self._build()
 
     def _build(self) -> None:
         rs = self.rs
-        positives = sorted(rs.positive_roots, key=root_order_key)
-        pos_set = set(positives)
-        for gamma in positives:
-            if sum(gamma) == 1:
+        roots = rs.roots
+        for gamma in range(self.ri.npos):
+            pairs = _positive_pairs(self.ri, gamma)
+            if not pairs:
                 continue
-            summands = [a for a in positives if sum(a) < sum(gamma) and _sub(gamma, a) in pos_set]
-            summands.sort(key=root_order_key)
-            mu = summands[0]
-            nu = _sub(gamma, mu)
-            if sum(mu) != 1:
-                raise ChevalleyError(f"smallest summand of {gamma} is not simple")
-            self._extraspecial[gamma] = (mu, nu)
-            p = down_string_length(rs, mu, nu)
-            self._store(mu, nu, p + 1)
-            for alpha in summands:
-                beta = _sub(gamma, alpha)
-                if (alpha, beta) == (mu, nu) or root_order_key(alpha) > root_order_key(beta):
-                    continue
-                value = self._from_four_term(mu, nu, alpha, beta)
-                expect = down_string_length(rs, alpha, beta) + 1
+            (mu, nu), *others = pairs
+            if sum(roots[mu]) != 1:
+                raise ChevalleyError(f"smallest summand of {roots[gamma]} is not simple")
+            self._store(mu, nu, gamma, down_string_length(rs, roots[mu], roots[nu]) + 1)
+            for alpha, beta in others:
+                value = self._from_four_term(mu, nu, alpha, beta, gamma)
+                expect = down_string_length(rs, roots[alpha], roots[beta]) + 1
                 if abs(value) != expect:
                     raise ChevalleyError(
-                        f"constant for {alpha}+{beta} has magnitude {abs(value)}, string gives {expect}"
+                        f"constant for {roots[alpha]}+{roots[beta]} is {value}, string gives {expect}"
                     )
-                self._store(alpha, beta, value)
+                self._store(alpha, beta, gamma, value)
 
-    def _store(self, a: Vector, b: Vector, value: int) -> None:
-        self._pos[(a, b)] = value
-        self._pos[(b, a)] = -value
+    def _store(self, a: int, b: int, gamma: int, value: int) -> None:
+        """Record N(a, b) = value for positive a + b = gamma."""
+        npos = self.ri.npos
+        self.pos[(a, b)] = value
+        self.pos[(b, a)] = -value
+        self._diff[(gamma, a)] = b
+        self._diff[(gamma, b)] = a
+        self._diff[(a, gamma)] = b + npos
+        self._diff[(b, gamma)] = a + npos
 
-    def _from_four_term(self, mu: Vector, nu: Vector, alpha: Vector, beta: Vector) -> int:
+    def _from_four_term(self, mu: int, nu: int, alpha: int, beta: int, gamma: int) -> int:
         # For four roots (mu, nu, -alpha, -beta) summing to zero with no two
         # opposite, the pairwise constants satisfy a three-term relation in
         # which each product is weighted by the norm of its pair sum; the
         # weights only cancel when all root lengths agree.
-        rs = self.rs
-        t1 = Fraction(self._mixed(nu, alpha) * self._mixed(mu, beta), rs.norm(_sub(nu, alpha)))
-        t2 = Fraction(self._mixed(mu, alpha) * self._mixed(nu, beta), rs.norm(_sub(mu, alpha)))
-        value = rs.norm(_add(mu, nu)) * (t1 - t2) / self._pos[(mu, nu)]
+        t1 = self._weighted(nu, alpha, mu, beta)
+        t2 = self._weighted(mu, alpha, nu, beta)
+        value = self._norm[gamma] * (t1 - t2) / self.pos[(mu, nu)]
         if value.denominator != 1:
             raise ChevalleyError("four-term relation gave a non-integral constant")
         return int(value)
 
-    def _mixed(self, xi: Vector, eta: Vector) -> int:
+    def _weighted(self, x: int, y: int, u: int, v: int) -> Fraction:
+        """N(x, -y) N(u, -v) / |x - y|^2 for x - y = v - u; 0 when x - y is no root."""
+        delta = self._diff.get((x, y))
+        if delta is None:
+            return Fraction(0)
+        return Fraction(self._mixed(x, y) * self._mixed(u, v), self._norm[delta])
+
+    def _mixed(self, xi: int, eta: int) -> int:
         """N(xi, -eta) for positive xi, eta with xi != eta."""
-        rs = self.rs
-        delta = _sub(xi, eta)
-        if not rs.is_root(delta):
+        delta = self._diff.get((xi, eta))
+        if delta is None:
             return 0
-        if sum(delta) > 0:
-            value = -rs.norm(delta) * self._pos[(eta, delta)]
-            den = rs.norm(xi)
-        else:
-            delta = _neg(delta)
-            value = rs.norm(delta) * self._pos[(delta, xi)]
-            den = rs.norm(eta)
+        norm = self._norm
+        if delta < self.ri.npos:  # xi = eta + delta
+            value = -norm[delta] * self.pos[(eta, delta)]
+            den = norm[xi]
+        else:  # eta = xi + (-delta)
+            value = norm[delta] * self.pos[(delta - self.ri.npos, xi)]
+            den = norm[eta]
         q, r = divmod(value, den)
         if r:
             raise ChevalleyError("string relation gave a non-integral constant")
         return q
 
     def extraspecial_pair(self, gamma: Vector) -> tuple[Vector, Vector]:
-        return self._extraspecial[gamma]
+        mu, nu = _positive_pairs(self.ri, self.ri.index[gamma])[0]
+        return self.rs.roots[mu], self.rs.roots[nu]
 
     def n(self, a: Vector, b: Vector) -> int:
         """N(a, b) for roots a, b with a + b a root."""
-        s = _add(a, b)
-        if not self.rs.is_root(s):
+        if not self.rs.is_root(_add(a, b)):
             raise ChevalleyError(f"{a} + {b} is not a root")
-        apos = sum(a) > 0
-        bpos = sum(b) > 0
-        if apos and bpos:
-            return self._pos[(a, b)]
-        if not apos and not bpos:
-            return -self._pos[(_neg(a), _neg(b))]
-        if apos:
-            return self._mixed(a, _neg(b))
-        return -self._mixed(b, _neg(a))
+        npos = self.ri.npos
+        i, j = self.ri.index[a], self.ri.index[b]
+        if i < npos and j < npos:
+            return self.pos[(i, j)]
+        if i >= npos and j >= npos:
+            return -self.pos[(i - npos, j - npos)]
+        if i < npos:
+            return self._mixed(i, j - npos)
+        return -self._mixed(j, i - npos)
 
     def bracket(self, x: dict, y: dict) -> dict:
         """Bracket of algebra elements in the basis {("root", a)} u {("coroot", i)}.
 
-        Coroot entries are 0-based simple coroot coefficients.  Used by the
-        verification layer; exact integer arithmetic throughout.
+        Coroot entries are 0-based simple coroot coefficients; exact integer
+        arithmetic throughout.
         """
         rs = self.rs
         out: dict = {}
@@ -203,22 +215,20 @@ def structure_constants(rs: RootSystem) -> StructureConstants:
 
 @dataclass(frozen=True)
 class PinnedSigns:
-    """Signs c with theta(X_a) = c(a) X_{theta0 a} for the pinned lift.
+    """theta0 and the signs c with theta(X_a) = c(a) X_{theta0 a} for the pinned lift.
 
-    c is +1 on simple roots and on everything when theta0 is the identity.
-    The identity case skips the structure constants entirely.
+    theta[k] is the root index of theta0(root_k) and signs[k] is c(root_k);
+    c(-a) = c(a).  c is +1 on simple roots and on everything when theta0 is
+    the identity, and the identity case skips the structure constants.
     """
 
     rs: RootSystem
     aut: DiagramAutomorphism
-    _signs: dict = field(compare=False, hash=False)
+    theta: tuple[int, ...] = field(compare=False)
+    signs: tuple[int, ...] = field(compare=False)
 
     def c(self, a: Vector) -> int:
-        if sum(a) < 0:
-            a = _neg(a)
-        if not self._signs:
-            return 1
-        return self._signs[a]
+        return self.signs[root_index(self.rs).index[a]]
 
 
 @lru_cache(maxsize=None)
@@ -226,39 +236,31 @@ def pinned_signs(rs: RootSystem, aut: DiagramAutomorphism) -> PinnedSigns:
     """Compute c(a) for all positive roots, checking consistency throughout.
 
     Induction on height: c(gamma) = c(mu) c(nu) N(theta0 mu, theta0 nu) / N(mu, nu)
-    for the chosen decomposition gamma = mu + nu, and the same identity is
+    for the extraspecial pair gamma = mu + nu, and the same identity is
     checked for every other decomposition.  Also checks c(a) c(theta0 a) = 1,
     which makes the lift an involution when theta0 is.
     """
+    ri = root_index(rs)
+    theta = tuple(ri.index[aut.on_root(v)] for v in rs.roots)
     if aut.is_identity:
-        return PinnedSigns(rs, aut, {})
-    nc = structure_constants(rs)
-    signs: dict[Vector, int] = {}
-    positives = sorted(rs.positive_roots, key=root_order_key)
-    pos_set = set(positives)
-    for gamma in positives:
-        if sum(gamma) == 1:
-            signs[gamma] = 1
-            continue
+        return PinnedSigns(rs, aut, theta, (1,) * len(rs.roots))
+    n = structure_constants(rs).pos
+    signs = [1] * ri.npos
+    for gamma in range(ri.npos):
         value = None
-        for alpha in positives:
-            if sum(alpha) >= sum(gamma):
-                break
-            beta = _sub(gamma, alpha)
-            if beta not in pos_set or root_order_key(alpha) > root_order_key(beta):
-                continue
-            ratio_num = signs[alpha] * signs[beta] * nc.n(aut.on_root(alpha), aut.on_root(beta))
-            base = nc.n(alpha, beta)
-            q, r = divmod(ratio_num, base)
+        for alpha, beta in _positive_pairs(ri, gamma):
+            top = signs[alpha] * signs[beta] * n[(theta[alpha], theta[beta])]
+            q, r = divmod(top, n[(alpha, beta)])
             if r or q not in (1, -1):
-                raise ChevalleyError(f"sign at {gamma} is not a unit")
+                raise ChevalleyError(f"sign at {rs.roots[gamma]} is not a unit")
             if value is None:
                 value = q
             elif value != q:
-                raise ChevalleyError(f"sign at {gamma} depends on the decomposition")
-        signs[gamma] = value
+                raise ChevalleyError(f"sign at {rs.roots[gamma]} depends on the decomposition")
+        if value is not None:
+            signs[gamma] = value
     if aut.order <= 2:
-        for gamma in positives:
-            if signs[gamma] * signs[aut.on_root(gamma)] != 1:
-                raise ChevalleyError(f"pinned lift fails to square to one at {gamma}")
-    return PinnedSigns(rs, aut, signs)
+        for gamma in range(ri.npos):
+            if signs[gamma] * signs[theta[gamma]] != 1:
+                raise ChevalleyError(f"pinned lift fails to square to one at {rs.roots[gamma]}")
+    return PinnedSigns(rs, aut, theta, tuple(signs) * 2)

@@ -47,19 +47,17 @@ class IndexedGrading:
         _check_rep(cls, rep)
         self.cls = cls
         self.ri = ri = root_index(cls.rs)
-        pinned = pinned_signs(cls.rs, cls.aut).c
+        pinned = pinned_signs(cls.rs, cls.aut)
+        self.theta = theta = pinned.theta
         minus = [node - 1 for node, s in zip(cls.fixed_nodes, rep) if s == -1]
-        theta, signs = [], []
+        signs = []
         for k, beta in enumerate(cls.rs.roots):
-            t = ri.index[cls.theta0_on_root(beta)]
-            theta.append(t)
-            if t != k:
+            if theta[k] != k:
                 signs.append(0)
             elif sum(beta[i] for i in minus) % 2:
-                signs.append(-pinned(beta))
+                signs.append(-pinned.signs[k])
             else:
-                signs.append(pinned(beta))
-        self.theta = tuple(theta)
+                signs.append(pinned.signs[k])
         self.signs = tuple(signs)
         self.imaginary = ri.mask(k for k, t in enumerate(theta) if t == k)
         self.compact = ri.mask(k for k, sign in enumerate(signs) if sign == 1)

@@ -24,7 +24,6 @@ from .chevalley import pinned_signs
 from .rootdata import (
     DiagramAutomorphism,
     RootSystem,
-    Vector,
     diagram_automorphisms,
     identity_automorphism,
 )
@@ -56,6 +55,10 @@ class InvolutionClass:
 
     def __post_init__(self):
         object.__setattr__(self, "_orbit_set", frozenset(self.orbit))
+        object.__setattr__(self, "_hash", hash((self.rs, self.aut, self.fixed_nodes, self.orbit)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def canonical_rep(self) -> Grading:
@@ -92,9 +95,6 @@ class InvolutionClass:
     def sort_key(self):
         return (not self.is_inner, self.aut.perm, _bit_key(self.canonical_rep))
 
-    def theta0_on_root(self, v: Vector) -> Vector:
-        return self.aut.on_root(v)
-
 
 def _grading_action(rs: RootSystem, aut: DiagramAutomorphism, fixed: tuple[int, ...]):
     """Callables giving the folded-generator action on sign vectors.
@@ -106,7 +106,7 @@ def _grading_action(rs: RootSystem, aut: DiagramAutomorphism, fixed: tuple[int, 
     reflections of the word.  Folded generators are involutions, so g and
     g^{-1} need not be distinguished.
     """
-    signs = pinned_signs(rs, aut)
+    signs = pinned_signs(rs, aut).signs
     ri = root_index(rs)
     actions = []
     for word in folded_generators(rs, aut.perm):
@@ -117,7 +117,7 @@ def _grading_action(rs: RootSystem, aut: DiagramAutomorphism, fixed: tuple[int, 
                 k = ri.reflections[i - 1][k]
             image = rs.roots[k]
             mask = tuple(image[f - 1] % 2 for f in fixed)
-            rows.append((signs.c(image), mask))
+            rows.append((signs[k], mask))
         actions.append(rows)
 
     def make(rows):

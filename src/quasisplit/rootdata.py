@@ -146,6 +146,12 @@ class RootSystem:
         pos = self.positive_roots
         object.__setattr__(self, "_root_set", frozenset(self.roots))
         object.__setattr__(self, "_pos_set", frozenset(pos))
+        fields = (self.components, self.central_torus_dim, self.cartan, self.lengths, self.roots)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        # The generated hash would rehash every root on each cache lookup.
+        return self._hash
 
     @property
     def rank(self) -> int:
@@ -203,15 +209,6 @@ class RootSystem:
         for letter, rank in self.components:
             n *= weyl_order(letter, rank)
         return n
-
-    def component_of_node(self, i: int) -> int:
-        """Index into components for 1-based node i."""
-        start = 1
-        for k, (_, rank) in enumerate(self.components):
-            if i < start + rank:
-                return k
-            start += rank
-        raise RootDataError(f"node {i} out of range")
 
 
 def parse_type_string(s: str) -> tuple[tuple[tuple[str, int], ...], int]:

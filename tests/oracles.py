@@ -9,10 +9,11 @@ of folded-generator transport.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
-from quasisplit.chevalley import pinned_signs
+from quasisplit.chevalley import pinned_signs, structure_constants
 from quasisplit.rootdata import RootSystem, Vector, format_subsystem, identify_subsystem
 
 
@@ -86,6 +87,39 @@ class VectorChamber:
         return frozenset(v for v in self.rs.roots if sum(self.act_inv(v)) > 0)
 
 
+def _height_order(v: Vector) -> tuple[int, Vector]:
+    return (sum(v), v)
+
+
+def extraspecial_pair_by_vectors(rs: RootSystem, gamma: Vector) -> tuple[Vector, Vector]:
+    """(mu, gamma - mu) for the smallest positive mu, in (height, vector)
+    order, whose difference from gamma is a positive root; found by vector
+    subtraction."""
+    summands = [
+        a for a in rs.positive_roots
+        if rs.is_positive(tuple(g - x for g, x in zip(gamma, a)))
+    ]
+    mu = min(summands, key=_height_order)
+    return mu, tuple(g - x for g, x in zip(gamma, mu))
+
+
+def pinned_signs_by_vectors(rs: RootSystem, aut) -> dict[Vector, Fraction]:
+    """c on the positive roots by induction on height over vectors:
+    c(gamma) = c(mu) c(nu) N(theta0 mu, theta0 nu) / N(mu, nu) for the
+    extraspecial pair of gamma, c = 1 on the simple roots.  No shortcut for
+    the identity."""
+    nc = structure_constants(rs)
+    signs: dict[Vector, Fraction] = {}
+    for gamma in sorted(rs.positive_roots, key=_height_order):
+        if sum(gamma) == 1:
+            signs[gamma] = Fraction(1)
+            continue
+        mu, nu = extraspecial_pair_by_vectors(rs, gamma)
+        top = signs[mu] * signs[nu] * nc.n(aut.on_root(mu), aut.on_root(nu))
+        signs[gamma] = top / nc.n(mu, nu)
+    return signs
+
+
 def _eps_by_vectors(cls, rep, beta: Vector) -> int:
     """eps of an imaginary root: pinned sign times the grading signs at the
     fixed nodes where beta has an odd coefficient."""
@@ -102,7 +136,7 @@ def unipotent_fixed_dim_by_vectors(cls, rep, positive: frozenset[Vector]) -> int
     count one diagonal."""
     total = 0
     for beta in positive:
-        tb = cls.theta0_on_root(beta)
+        tb = cls.aut.on_root(beta)
         if tb == beta:
             if _eps_by_vectors(cls, rep, beta) == 1:
                 total += 1
@@ -117,7 +151,7 @@ def unipotent_image_dim_by_vectors(cls, rep, walls: tuple[Vector, ...], positive
     when the partner is a wall too."""
     total = 0
     for beta in walls:
-        tb = cls.theta0_on_root(beta)
+        tb = cls.aut.on_root(beta)
         if tb == beta:
             if _eps_by_vectors(cls, rep, beta) == 1:
                 total += 1

@@ -10,11 +10,20 @@ from quasisplit.chevalley import (
     pinned_signs,
     structure_constants,
 )
-from quasisplit.rootdata import build_root_system, diagram_automorphisms, identity_automorphism
+from quasisplit.rootdata import VALID_RANKS, build_root_system, diagram_automorphisms, identity_automorphism
 
-from oracles import jacobi_violations, sl_flip_fixed_dim, sl_flip_image
+from oracles import (
+    extraspecial_pair_by_vectors,
+    jacobi_violations,
+    pinned_signs_by_vectors,
+    sl_flip_fixed_dim,
+    sl_flip_image,
+)
 
 SMALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "A1+A1", "B2+A1"]
+PINNED_ORACLE_TYPES = [
+    f"{letter}{rank}" for letter, ranks in VALID_RANKS.items() for rank in ranks if rank <= 8
+] + ["A3+A3", "D4+A1", "A2+A2+A1"]
 
 
 def _neg(v):
@@ -145,11 +154,29 @@ def test_pinned_signs_are_units_and_square_to_one(type_str, perm):
 
 
 def test_identity_pinning_is_trivial():
+    pinned_signs.cache_clear()
     for type_str in ["A3", "E7"]:
         rs = build_root_system(type_str)
+        before = structure_constants.cache_info()
         signs = pinned_signs(rs, identity_automorphism(rs))
-        assert not signs._signs
-        assert all(signs.c(a) == 1 for a in (rs.simple_roots[0], rs.roots[-1]))
+        assert structure_constants.cache_info() == before
+        assert set(signs.signs) == {1}
+        assert all(signs.c(a) == 1 for a in rs.roots)
+
+
+@pytest.mark.parametrize("type_str", PINNED_ORACLE_TYPES)
+def test_pinned_signs_match_vector_oracle(type_str):
+    rs = build_root_system(type_str)
+    nc = structure_constants(rs)
+    for aut in diagram_automorphisms(rs):
+        if aut.order > 2:
+            continue
+        signs = pinned_signs(rs, aut)
+        expect = pinned_signs_by_vectors(rs, aut)
+        assert {gamma: signs.c(gamma) for gamma in rs.positive_roots} == expect
+    for gamma in rs.positive_roots:
+        if sum(gamma) > 1:
+            assert nc.extraspecial_pair(gamma) == extraspecial_pair_by_vectors(rs, gamma)
 
 
 def test_pinned_signs_match_matrix_involution_a2():

@@ -109,7 +109,7 @@ def test_counts_are_orbit_invariant():
             for rep in cls.orbit:
                 compact = noncompact = cplx = 0
                 for beta in cls.rs.roots:
-                    if cls.theta0_on_root(beta) == beta:
+                    if cls.aut.on_root(beta) == beta:
                         if eps(cls, rep, beta) == 1:
                             compact += 1
                         else:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quasisplit.involution import (
+    InvolutionClass,
     conjugate_class_by,
     enumerate_involution_classes,
     find_class,
@@ -73,6 +74,12 @@ def test_class_ids_a2_outer():
     assert outer[0].class_id == "(12)"
     assert outer[0].fixed_nodes == ()
     assert outer[0].quasi_split  # vacuously: no fixed nodes
+
+
+def test_equal_classes_hash_alike():
+    for cls in enumerate_involution_classes(build_root_system("A3")):
+        rebuilt = InvolutionClass(build_root_system((("A", 3),)), cls.aut, cls.fixed_nodes, cls.orbit)
+        assert rebuilt is not cls and rebuilt == cls and hash(rebuilt) == hash(cls)
 
 
 def test_trivial_class():

@@ -34,6 +34,15 @@ ROOT_COUNTS = {
 }
 
 
+def test_equal_systems_hash_alike_and_share_cache_entries():
+    by_string = build_root_system("A2")
+    by_tuple = build_root_system((("A", 2),))
+    assert by_string is not by_tuple
+    assert by_string == by_tuple and hash(by_string) == hash(by_tuple)
+    assert by_string != build_root_system("A1+A1")
+    assert diagram_automorphisms(by_string) is diagram_automorphisms(by_tuple)
+
+
 def test_parse_type_string():
     assert parse_type_string("A3") == ((("A", 3),), 0)
     assert parse_type_string("D4+A1") == ((("D", 4), ("A", 1)), 0)
