@@ -10,13 +10,18 @@ theta0-centralizer subgroup of the Weyl group, acting through the pinned
 signs.  So a conjugacy class is a pair (theta0, orbit of sign vectors), and
 this module enumerates those orbits directly.
 
+Inside the enumeration a sign vector on f fixed nodes is an f-bit int, bit
+f-1-j set when the sign at the j-th fixed node is -1, so int order is the
+order of the class ids (+ before -, first node most significant).  Each
+folded generator then acts as a GF(2)-affine map, and the orbits are
+labelled over range(2**f).  InvolutionClass.orbit keeps +-1 tuples.
+
 Quasi-splitness is decided inside the orbit: a class is quasi-split iff the
 all-minus sign vector occurs in its orbit.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -54,7 +59,6 @@ class InvolutionClass:
     orbit: tuple[Grading, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "_orbit_set", frozenset(self.orbit))
         object.__setattr__(self, "_hash", hash((self.rs, self.aut, self.fixed_nodes, self.orbit)))
 
     def __hash__(self) -> int:
@@ -78,8 +82,9 @@ class InvolutionClass:
 
     @property
     def quasi_split(self) -> bool:
-        """All-minus grading in the orbit; vacuously true with no fixed nodes."""
-        return tuple([-1] * len(self.fixed_nodes)) in self._orbit_set
+        """All-minus grading in the orbit, where it sorts last; vacuously
+        true with no fixed nodes."""
+        return self.orbit[-1] == (-1,) * len(self.fixed_nodes)
 
     @property
     def class_id(self) -> str:
@@ -90,50 +95,43 @@ class InvolutionClass:
         return f"{cycles}:{g}" if g else cycles
 
     def contains(self, rep: Grading) -> bool:
-        return rep in self._orbit_set
+        return rep in self.orbit
 
     def sort_key(self):
         return (not self.is_inner, self.aut.perm, _bit_key(self.canonical_rep))
 
 
 def _grading_action(rs: RootSystem, aut: DiagramAutomorphism, fixed: tuple[int, ...]):
-    """Callables giving the folded-generator action on sign vectors.
+    """The folded-generator action on sign vectors, as (flip, columns) pairs.
 
     A generator g sends s to s' with s'_i = c(g(alpha_i)) * prod_j s_j^(m_j),
     m the coefficient vector of g(alpha_i); only fixed-node coefficients
     matter since the cocycle is normalized to +1 on swapped nodes.  g(alpha_i)
     is found by moving the root index of alpha_i through the simple
     reflections of the word.  Folded generators are involutions, so g and
-    g^{-1} need not be distinguished.
+    g^{-1} need not be distinguished.  On bitmasks this is s' = flip ^ A s
+    over GF(2); A is listed by the columns where it differs from the
+    identity (see weyl.orbit_partition).
     """
     signs = pinned_signs(rs, aut).signs
     ri = root_index(rs)
+    bits = [1 << (len(fixed) - 1 - i) for i in range(len(fixed))]
     actions = []
     for word in folded_generators(rs, aut.perm):
-        rows = []
-        for node in fixed:
+        flip = 0
+        columns = [0] * len(fixed)
+        for bit, node in zip(bits, fixed):
             k = ri.simple[node - 1]
             for i in reversed(word):
                 k = ri.reflections[i - 1][k]
+            if signs[k] == -1:
+                flip |= bit
             image = rs.roots[k]
-            mask = tuple(image[f - 1] % 2 for f in fixed)
-            rows.append((signs[k], mask))
-        actions.append(rows)
-
-    def make(rows):
-        def act(s: Grading) -> Grading:
-            out = []
-            for sign, mask in rows:
-                v = sign
-                for j, m in enumerate(mask):
-                    if m:
-                        v *= s[j]
-                out.append(v)
-            return tuple(out)
-
-        return act
-
-    return [make(rows) for rows in actions]
+            for j, f in enumerate(fixed):
+                if image[f - 1] % 2:
+                    columns[j] |= bit
+        actions.append((flip, [(b, c ^ b) for b, c in zip(bits, columns) if c != b]))
+    return actions
 
 
 @lru_cache(maxsize=None)
@@ -148,11 +146,11 @@ def enumerate_involution_classes(rs: RootSystem) -> tuple[InvolutionClass, ...]:
         if aut.order > 2:
             continue
         fixed = aut.fixed_nodes()
-        domain = list(itertools.product((1, -1), repeat=len(fixed)))
-        generators = _grading_action(rs, aut, fixed)
-        for orbit in orbit_partition(domain, generators):
-            orbit.sort(key=_bit_key)
-            classes.append(InvolutionClass(rs, aut, fixed, tuple(orbit)))
+        shifts = range(len(fixed) - 1, -1, -1)
+        for orbit in orbit_partition(len(fixed), _grading_action(rs, aut, fixed)):
+            orbit.sort()
+            gradings = tuple(tuple(-1 if s >> j & 1 else 1 for j in shifts) for s in orbit)
+            classes.append(InvolutionClass(rs, aut, fixed, gradings))
     classes.sort(key=InvolutionClass.sort_key)
     return tuple(classes)
 
@@ -164,16 +162,17 @@ def trivial_class(rs: RootSystem) -> InvolutionClass:
     raise AssertionError("trivial class missing")
 
 
-def inner_classes(rs: RootSystem) -> tuple[InvolutionClass, ...]:
-    return tuple(c for c in enumerate_involution_classes(rs) if c.is_inner)
+@lru_cache(maxsize=None)
+def _class_of_sign_vector(rs: RootSystem) -> dict[tuple[DiagramAutomorphism, Grading], InvolutionClass]:
+    return {(cls.aut, s): cls for cls in enumerate_involution_classes(rs) for s in cls.orbit}
 
 
 def find_class(rs: RootSystem, aut: DiagramAutomorphism, rep: Grading) -> InvolutionClass:
     """The class whose orbit contains the given sign vector for this theta0."""
-    for cls in enumerate_involution_classes(rs):
-        if cls.aut == aut and cls.contains(rep):
-            return cls
-    raise ValueError(f"no class of {aut.perm} contains {rep}")
+    cls = _class_of_sign_vector(rs).get((aut, rep))
+    if cls is None:
+        raise ValueError(f"no class of {aut.perm} contains {rep}")
+    return cls
 
 
 def conjugate_class_by(cls: InvolutionClass, tau: DiagramAutomorphism) -> InvolutionClass:
@@ -182,28 +181,14 @@ def conjugate_class_by(cls: InvolutionClass, tau: DiagramAutomorphism) -> Involu
     The pinned lift of tau maps the involution (theta0, s) to
     (tau theta0 tau^{-1}, s relabeled through tau); gradings transport with
     no sign corrections because imaginary root vectors meet tau-pinning
-    coefficients twice, once in and once out.
+    coefficients twice, once in and once out.  The class of the image of
+    one member of the orbit is the class of the image.
     """
-    rs = cls.rs
-    perm = tuple(tau.apply(cls.aut.apply(i)) for i in _inverse_perm(tau.perm))
-    new_aut = DiagramAutomorphism(perm)
-    new_fixed = tuple(sorted(tau.apply(i) for i in cls.fixed_nodes))
-    position = {node: k for k, node in enumerate(new_fixed)}
-    new_orbit = []
-    for s in cls.orbit:
-        out = [1] * len(new_fixed)
-        for k, node in enumerate(cls.fixed_nodes):
-            out[position[tau.apply(node)]] = s[k]
-        new_orbit.append(tuple(out))
-    new_orbit.sort(key=_bit_key)
-    return find_class(rs, new_aut, new_orbit[0])
-
-
-def _inverse_perm(perm: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for i, j in enumerate(perm, start=1):
-        inv[j - 1] = i
-    return tuple(inv)
+    conjugated = {tau.apply(i): tau.apply(j) for i, j in enumerate(cls.aut.perm, 1)}
+    perm = tuple(conjugated[i] for i in range(1, len(conjugated) + 1))
+    signs = {tau.apply(node): sign for node, sign in zip(cls.fixed_nodes, cls.canonical_rep)}
+    rep = tuple(signs[node] for node in sorted(signs))
+    return find_class(cls.rs, DiagramAutomorphism(perm), rep)
 
 
 def merge_diagram_conjugates(
@@ -214,26 +199,16 @@ def merge_diagram_conjugates(
     Returns (representative, ids of the whole group) pairs; representatives
     keep the enumeration order.  With triality present this fuses classes
     whose fixed subgroups are abstractly isomorphic but sit on different
-    nodes.
+    nodes.  The automorphisms form a group, so one pass over them reaches
+    every conjugate of a class.
     """
-    classes = enumerate_involution_classes(rs)
-    taus = diagram_automorphisms(rs)
-    index = {cls.class_id: cls for cls in classes}
     merged: list[tuple[InvolutionClass, tuple[str, ...]]] = []
-    seen: set[str] = set()
-    for cls in classes:
-        if cls.class_id in seen:
+    seen: set[InvolutionClass] = set()
+    for cls in enumerate_involution_classes(rs):
+        if cls in seen:
             continue
-        group = {cls.class_id}
-        frontier = [cls]
-        while frontier:
-            cur = frontier.pop()
-            for tau in taus:
-                moved = conjugate_class_by(cur, tau)
-                if moved.class_id not in group:
-                    group.add(moved.class_id)
-                    frontier.append(moved)
+        group = {conjugate_class_by(cls, tau) for tau in diagram_automorphisms(rs)}
         seen |= group
-        ordered = tuple(sorted(group, key=lambda cid: index[cid].sort_key()))
-        merged.append((index[ordered[0]], ordered))
+        ordered = sorted(group, key=InvolutionClass.sort_key)
+        merged.append((ordered[0], tuple(c.class_id for c in ordered)))
     return tuple(merged)

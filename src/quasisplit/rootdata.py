@@ -8,38 +8,36 @@ root-string extension.  Everything is exact integer arithmetic.
 
 from __future__ import annotations
 
-import itertools
+import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 Vector = tuple[int, ...]
 
+# `involutions` takes 2-4 s for each classical type of rank 18 on a 2-vCPU
+# VM, up to 9 s at rank 19 and about 10-12 s at rank 20.
+MAX_RANK = 18
+
 VALID_RANKS = {
-    "A": range(1, 100),
-    "B": range(2, 100),
-    "C": range(3, 100),
-    "D": range(4, 100),
+    "A": range(1, MAX_RANK + 1),
+    "B": range(2, MAX_RANK + 1),
+    "C": range(3, MAX_RANK + 1),
+    "D": range(4, MAX_RANK + 1),
     "E": range(6, 9),
     "F": range(4, 5),
     "G": range(2, 3),
 }
 
-# Coxeter number, for the highest-root height cross-check.
-def coxeter_number(letter: str, rank: int) -> int:
-    if letter == "A":
-        return rank + 1
-    if letter in ("B", "C"):
-        return 2 * rank
-    if letter == "D":
-        return 2 * rank - 2
-    return {("E", 6): 12, ("E", 7): 18, ("E", 8): 30, ("F", 4): 12, ("G", 2): 6}[(letter, rank)]
+# Bound on the product of the two counts of involution_work, its value for
+# D18; merging diagram-conjugate classes maps each class through every
+# automorphism, so this bounds that work too.
+MAX_INVOLUTION_WORK = 2 * (2**MAX_RANK + 2 ** (MAX_RANK - 2))
 
 
 def weyl_order(letter: str, rank: int) -> int:
-    import math
-
     if letter == "A":
         return math.factorial(rank + 1)
     if letter in ("B", "C"):
@@ -53,6 +51,32 @@ def weyl_order(letter: str, rank: int) -> int:
 
 class RootDataError(ValueError):
     pass
+
+
+def involution_work(components: Sequence[tuple[str, int]]) -> tuple[int, int]:
+    """(order of the diagram automorphism group, number of sign vectors the
+    class enumeration labels: 2**(fixed nodes) summed over its involutions).
+
+    For m copies of a simple type X the group is Aut(X) wr S_m, with Aut(X)
+    the flip of A_n (n >= 2), of D_n (n >= 5) and of E6, S3 for D4, and
+    trivial otherwise.  In an involution of it the last copy is either fixed
+    as a set, carrying an involution of Aut(X), or swapped with one of the
+    other copies through one of |Aut(X)| maps, fixing none of their nodes.
+    """
+    order = vectors = 1
+    for (letter, rank), m in Counter(components).items():
+        if (letter, rank) == ("D", 4):
+            aut, per_copy = 6, 2**4 + 3 * 2**2  # three transpositions, two fixed nodes each
+        elif letter == "A" and rank > 1 or letter == "D" or (letter, rank) == ("E", 6):
+            aut, per_copy = 2, 2**rank + 2 ** {"A": rank % 2, "D": rank - 2, "E": 2}[letter]
+        else:
+            aut, per_copy = 1, 2**rank
+        counts = [1, per_copy]  # counts[k]: the sum for k copies
+        for k in range(2, m + 1):
+            counts.append(per_copy * counts[k - 1] + (k - 1) * aut * counts[k - 2])
+        order *= math.factorial(m) * aut**m
+        vectors *= counts[m]
+    return order, vectors
 
 
 def _simple_cartan(letter: str, rank: int) -> list[list[int]]:
@@ -143,9 +167,7 @@ class RootSystem:
     roots: tuple[Vector, ...]
 
     def __post_init__(self):
-        pos = self.positive_roots
         object.__setattr__(self, "_root_set", frozenset(self.roots))
-        object.__setattr__(self, "_pos_set", frozenset(pos))
         fields = (self.components, self.central_torus_dim, self.cartan, self.lengths, self.roots)
         object.__setattr__(self, "_hash", hash(fields))
 
@@ -168,9 +190,6 @@ class RootSystem:
     def is_root(self, v: Vector) -> bool:
         return v in self._root_set
 
-    def is_positive(self, v: Vector) -> bool:
-        return v in self._pos_set
-
     def pairing(self, v: Vector, i: int) -> int:
         """<v, alpha_i^vee> for 1-based node i."""
         row = self.cartan[i - 1]
@@ -188,15 +207,6 @@ class RootSystem:
 
     def norm(self, v: Vector) -> int:
         return self.bilinear(v, v)
-
-    def root_pairing(self, v: Vector, beta: Vector) -> int:
-        """Cartan integer <v, beta^vee> = 2 (v, beta) / (beta, beta)."""
-        num = 2 * self.bilinear(v, beta)
-        den = self.norm(beta)
-        q, r = divmod(num, den)
-        if r:
-            raise RootDataError(f"pairing of {v} against {beta} is not integral")
-        return q
 
     def adjacent(self, i: int, j: int) -> bool:
         return i != j and self.cartan[i - 1][j - 1] != 0
@@ -249,13 +259,22 @@ def build_root_system(spec: str | tuple = "", central_torus_dim: int = 0) -> Roo
         central_torus_dim += torus
     else:
         components = tuple(spec)
+    total = sum(rank for _, rank in components)
+    name = "+".join(f"{letter}{rank}" for letter, rank in components)
+    if total > MAX_RANK:
+        raise RootDataError(f"{name}: rank {total} exceeds the bound {MAX_RANK}")
     for letter, rank in components:
         if letter not in VALID_RANKS or rank not in VALID_RANKS[letter]:
             raise RootDataError(f"invalid simple type {letter}{rank}")
+    order, vectors = involution_work(components)
+    if order * vectors > MAX_INVOLUTION_WORK:
+        raise RootDataError(
+            f"{name}: {order} diagram automorphisms times {vectors} sign vectors"
+            f" exceeds the bound {MAX_INVOLUTION_WORK}"
+        )
     if central_torus_dim < 0:
         raise RootDataError("central torus dimension must be nonnegative")
 
-    total = sum(rank for _, rank in components)
     cartan = [[0] * total for _ in range(total)]
     lengths: list[int] = []
     offset = 0
@@ -323,14 +342,6 @@ class DiagramAutomorphism:
     def fixed_nodes(self) -> tuple[int, ...]:
         return tuple(i + 1 for i in range(len(self.perm)) if self.perm[i] == i + 1)
 
-    def swapped_pairs(self) -> tuple[tuple[int, int], ...]:
-        pairs = []
-        for i in range(len(self.perm)):
-            j = self.perm[i]
-            if j > i + 1:
-                pairs.append((i + 1, j))
-        return tuple(pairs)
-
     def cycle_string(self) -> str:
         """Deterministic cycle notation, "1" for the identity."""
         seen = set()
@@ -354,27 +365,36 @@ class DiagramAutomorphism:
 
 @lru_cache(maxsize=None)
 def diagram_automorphisms(rs: RootSystem) -> tuple[DiagramAutomorphism, ...]:
-    """All Cartan-preserving node permutations, identity first.
+    """All Cartan-preserving node permutations in increasing order, so the
+    identity comes first.
 
-    Brute force over permutations; ranks in scope stay at most 8.
+    Depth-first extension in node order: node i may map to a node j with
+    the same sorted Cartan row, and only if the Cartan entries between i and
+    every node already placed are preserved in both directions (so j is not
+    yet used: only the diagonal holds 2).  A complete placement is an
+    automorphism, so the search does work close to the size of the group,
+    which build_root_system bounds.
     """
     n = rs.rank
     cartan = rs.cartan
+    candidates = [[j for j in range(n) if sorted(cartan[j]) == sorted(cartan[i])] for i in range(n)]
+    perm: list[int] = []
     found = []
-    for perm in itertools.permutations(range(n)):
-        ok = True
-        for i in range(n):
-            row = cartan[i]
-            prow = cartan[perm[i]]
-            for j in range(n):
-                if prow[perm[j]] != row[j]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+
+    def place(i: int) -> None:
+        if i == n:
             found.append(DiagramAutomorphism(tuple(p + 1 for p in perm)))
-    found.sort(key=lambda a: (not a.is_identity, a.perm))
+            return
+        for j in candidates[i]:
+            if all(
+                cartan[j][p] == cartan[i][k] and cartan[p][j] == cartan[k][i]
+                for k, p in enumerate(perm)
+            ):
+                perm.append(j)
+                place(i + 1)
+                perm.pop()
+
+    place(0)
     return tuple(found)
 
 
@@ -474,7 +494,9 @@ def identify_subsystem(rs: RootSystem, simple_vectors: Sequence[Vector]) -> tupl
     if not vecs:
         return ()
     n = len(vecs)
-    cartan = [[rs.root_pairing(vecs[j], vecs[i]) for j in range(n)] for i in range(n)]
+    gram = [[rs.bilinear(v, w) for v in vecs] for w in vecs]
+    # cartan[i][j] = <vecs[j], vecs[i]^vee>
+    cartan = [[2 * g // row[i] for g in row] for i, row in enumerate(gram)]
     unseen = set(range(n))
     types = []
     while unseen:

@@ -39,6 +39,9 @@ EXPECTED_EXCEPTIONAL_INNER = {"G2": 1, "F4": 2, "E6": 2, "E7": 3, "E8": 2}
 
 DEFAULT_SAMPLES = 2000
 DEFAULT_EXHAUSTIVE_CUTOFF = 2000
+# Largest --max-rank: all checks take about 4 s at rank 6 on a 2-vCPU VM,
+# 8-9 s at rank 7 and 18 s at rank 8.
+MAX_VERIFY_RANK = 6
 
 
 @dataclass

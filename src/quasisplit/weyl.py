@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from functools import cached_property, lru_cache
 from operator import add, itemgetter
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .rootdata import RootSystem, Vector
 
@@ -236,37 +236,30 @@ def random_chambers(rs: RootSystem, count: int, seed: int) -> list[Chamber]:
     return out
 
 
-def orbit_partition(
-    domain: Iterable[Hashable],
-    generators: Sequence[Callable[[Hashable], Hashable]],
-) -> list[list[Hashable]]:
-    """Orbits of the group generated by the given maps, in deterministic order.
+def orbit_partition(bits: int, generators: Sequence[tuple[int, list[tuple[int, int]]]]) -> list[list[int]]:
+    """Orbits on the bit vectors range(2**bits) of GF(2)-affine maps.
 
-    Raises if a generator maps an element outside the domain: every action we
-    partition is supposed to be closed, and silent escapes hide bugs.
+    A generator (flip, columns) sends s to flip ^ A s, where A is the
+    identity plus the listed columns: s ^ delta for each (bit, delta) pair
+    with s & bit.  Orbits come in order of their smallest member, which is
+    listed first.
     """
-    pool = list(domain)
-    pool_set = set(pool)
-    if len(pool) != len(pool_set):
-        raise WeylError("domain has duplicates")
-    unseen = set(pool)
+    seen = bytearray(1 << bits)
     orbits = []
-    for x in pool:
-        if x not in unseen:
+    for start in range(1 << bits):
+        if seen[start]:
             continue
-        orbit = [x]
-        unseen.discard(x)
-        queue = [x]
-        while queue:
-            y = queue.pop()
-            for g in generators:
-                z = g(y)
-                if z not in pool_set:
-                    raise WeylError(f"generator image {z!r} left the domain")
-                if z in unseen:
-                    unseen.discard(z)
-                    orbit.append(z)
-                    queue.append(z)
+        seen[start] = 1
+        orbit = [start]
+        for s in orbit:
+            for flip, columns in generators:
+                t = flip ^ s
+                for bit, delta in columns:
+                    if s & bit:
+                        t ^= delta
+                if not seen[t]:
+                    seen[t] = 1
+                    orbit.append(t)
         orbits.append(orbit)
     return orbits
 

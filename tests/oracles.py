@@ -15,6 +15,7 @@ import numpy as np
 
 from quasisplit.chevalley import pinned_signs, structure_constants
 from quasisplit.rootdata import RootSystem, Vector, format_subsystem, identify_subsystem
+from quasisplit.weyl import folded_generators, reflect
 
 
 def roots_by_reflection_closure(rs: RootSystem) -> frozenset[Vector]:
@@ -87,6 +88,85 @@ class VectorChamber:
         return frozenset(v for v in self.rs.roots if sum(self.act_inv(v)) > 0)
 
 
+def coxeter_number(letter: str, rank: int) -> int:
+    """Coxeter number of a simple type (Bourbaki, plates I-IX)."""
+    if letter == "A":
+        return rank + 1
+    if letter in ("B", "C"):
+        return 2 * rank
+    if letter == "D":
+        return 2 * rank - 2
+    return {("E", 6): 12, ("E", 7): 18, ("E", 8): 30, ("F", 4): 12, ("G", 2): 6}[(letter, rank)]
+
+
+def diagram_automorphisms_by_permutations(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
+    """Every Cartan-preserving node permutation (1-based), found by trying
+    all rank! permutations; identity first, then in increasing order."""
+    n = rs.rank
+    cartan = rs.cartan
+    found = [
+        tuple(p + 1 for p in perm)
+        for perm in itertools.permutations(range(n))
+        if all(cartan[perm[i]][perm[j]] == cartan[i][j] for i in range(n) for j in range(n))
+    ]
+    identity = tuple(range(1, n + 1))
+    return tuple(sorted(found, key=lambda perm: (perm != identity, perm)))
+
+
+def grading_orbits_by_tuples(rs: RootSystem, aut) -> list[tuple[tuple[int, ...], ...]]:
+    """Sign-vector orbits of a diagram involution, on +-1 tuples.
+
+    Each folded generator acts by s'_i = c(g alpha_i) * prod_j s_j^(m_j), m
+    the fixed-node coefficients of g(alpha_i), with g(alpha_i) found by
+    reflecting vectors.  Orbits are closed by a search over the full tuple
+    domain that refuses duplicates and images outside it; each orbit is
+    sorted with +1 before -1, and orbits come in order of their first member.
+    """
+    fixed = aut.fixed_nodes()
+    signs = pinned_signs(rs, aut).signs
+    index = {v: k for k, v in enumerate(rs.roots)}
+    actions = []
+    for word in folded_generators(rs, aut.perm):
+        rows = []
+        for node in fixed:
+            image = rs.simple_roots[node - 1]
+            for i in reversed(word):
+                image = reflect(rs, i, image)
+            rows.append((signs[index[image]], [image[f - 1] % 2 for f in fixed]))
+        actions.append(rows)
+
+    def act(rows, s):
+        out = []
+        for sign, mask in rows:
+            for x, m in zip(s, mask):
+                if m:
+                    sign *= x
+            out.append(sign)
+        return tuple(out)
+
+    domain = list(itertools.product((1, -1), repeat=len(fixed)))
+    pool = set(domain)
+    if len(pool) != len(domain):
+        raise AssertionError("domain has duplicates")
+    unseen = set(domain)
+    orbits = []
+    for x in domain:
+        if x not in unseen:
+            continue
+        unseen.discard(x)
+        orbit = [x]
+        for y in orbit:
+            for rows in actions:
+                z = act(rows, y)
+                if z not in pool:
+                    raise AssertionError(f"generator image {z!r} left the domain")
+                if z in unseen:
+                    unseen.discard(z)
+                    orbit.append(z)
+        orbits.append(tuple(sorted(orbit, key=lambda s: [x == -1 for x in s])))
+    return orbits
+
+
 def _height_order(v: Vector) -> tuple[int, Vector]:
     return (sum(v), v)
 
@@ -95,10 +175,8 @@ def extraspecial_pair_by_vectors(rs: RootSystem, gamma: Vector) -> tuple[Vector,
     """(mu, gamma - mu) for the smallest positive mu, in (height, vector)
     order, whose difference from gamma is a positive root; found by vector
     subtraction."""
-    summands = [
-        a for a in rs.positive_roots
-        if rs.is_positive(tuple(g - x for g, x in zip(gamma, a)))
-    ]
+    positive = set(rs.positive_roots)
+    summands = [a for a in rs.positive_roots if tuple(g - x for g, x in zip(gamma, a)) in positive]
     mu = min(summands, key=_height_order)
     return mu, tuple(g - x for g, x in zip(gamma, mu))
 

@@ -131,6 +131,27 @@ def test_bad_type_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "type_str,bound",
+    [
+        ("A19", "exceeds the bound 18"),
+        ("B10+C9", "exceeds the bound 18"),
+        ("D4+D4+D4", "exceeds the bound 655360"),
+    ],
+)
+def test_type_over_a_bound_exits_2_before_enumerating(capsys, type_str, bound):
+    from quasisplit.involution import enumerate_involution_classes
+    from quasisplit.rootdata import diagram_automorphisms
+
+    before = (diagram_automorphisms.cache_info(), enumerate_involution_classes.cache_info())
+    with pytest.raises(SystemExit) as exc:
+        main(["involutions", type_str, "--merge-diagram-conjugate"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert bound in captured.err and not captured.out
+    assert (diagram_automorphisms.cache_info(), enumerate_involution_classes.cache_info()) == before
+
+
 def test_family_text(capsys):
     code, out, _ = run_cli(capsys, "family", "SO-pair", "5", "3")
     assert code == 0
@@ -191,6 +212,14 @@ def test_verify_rejects_nonpositive_scope(capsys, flags):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert "positive integer" in captured.err and not captured.out
+
+
+def test_verify_rank_over_the_bound_exits_2(capsys):
+    from quasisplit.verify import MAX_VERIFY_RANK
+
+    code, out, err = run_cli(capsys, "verify", "support", "--max-rank", str(MAX_VERIFY_RANK + 1))
+    assert code == 2 and not out
+    assert f"--max-rank {MAX_VERIFY_RANK + 1} exceeds the bound {MAX_VERIFY_RANK}" in err
 
 
 def test_verify_json(capsys):

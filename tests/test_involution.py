@@ -6,13 +6,13 @@ from quasisplit.involution import (
     conjugate_class_by,
     enumerate_involution_classes,
     find_class,
-    inner_classes,
     merge_diagram_conjugates,
     trivial_class,
 )
 from quasisplit.rootdata import build_root_system, diagram_automorphisms, identity_automorphism
+from quasisplit.verify import simple_types_up_to
 
-from oracles import diagonal_sign_orbits
+from oracles import diagonal_sign_orbits, grading_orbits_by_tuples
 
 CLASS_COUNTS = {
     "A1": 2,
@@ -56,7 +56,7 @@ def test_inner_orbits_match_diagonal_conjugation(n):
     # orbits of their gradings under the Weyl group = S_n are computed
     # independently from the matrix picture
     rs = build_root_system(f"A{n - 1}")
-    engine = {frozenset(c.orbit) for c in inner_classes(rs)}
+    engine = {frozenset(c.orbit) for c in enumerate_involution_classes(rs) if c.is_inner}
     oracle = {frozenset(o) for o in diagonal_sign_orbits(n)}
     assert engine == oracle
 
@@ -174,3 +174,27 @@ def test_every_grading_in_exactly_one_class(type_str, data):
     rep = tuple(data.draw(st.sampled_from([1, -1])) for _ in fixed)
     holders = [c for c in classes if c.aut == aut and c.contains(rep)]
     assert len(holders) == 1
+
+
+@pytest.mark.parametrize("type_str", simple_types_up_to(8) + ["A3+A3", "D4+A1", "A2+A2+A1", "E6+A2"])
+def test_grading_orbits_match_tuple_route(type_str):
+    # every involutive diagram automorphism: the same orbits, members and order
+    rs = build_root_system(type_str)
+    classes = enumerate_involution_classes(rs)
+    for aut in diagram_automorphisms(rs):
+        if aut.order == 2 or aut.is_identity:
+            engine = [cls.orbit for cls in classes if cls.aut == aut]
+            assert engine == grading_orbits_by_tuples(rs, aut)
+
+
+@pytest.mark.parametrize("type_str", ["D4", "A1+A1+A1", "A3+A3", "D4+A1+A1"])
+def test_merged_groups_are_closed_under_every_automorphism(type_str):
+    rs = build_root_system(type_str)
+    by_id = {cls.class_id: cls for cls in enumerate_involution_classes(rs)}
+    merged = merge_diagram_conjugates(rs)
+    assert sorted(cid for _, ids in merged for cid in ids) == sorted(by_id)
+    for rep, ids in merged:
+        assert rep.class_id == ids[0]
+        for cid in ids:
+            for tau in diagram_automorphisms(rs):
+                assert conjugate_class_by(by_id[cid], tau).class_id in ids

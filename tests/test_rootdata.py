@@ -1,19 +1,26 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from quasisplit.involution import enumerate_involution_classes
 from quasisplit.rootdata import (
+    MAX_INVOLUTION_WORK,
+    MAX_RANK,
+    VALID_RANKS,
     RootDataError,
+    RootSystem,
     build_root_system,
-    coxeter_number,
     diagram_automorphisms,
     identify_subsystem,
+    involution_work,
     parse_type_string,
     support_connected,
     type_string,
     weyl_order,
 )
 
-from oracles import roots_by_reflection_closure
+from oracles import coxeter_number, diagram_automorphisms_by_permutations, roots_by_reflection_closure
 
 SIMPLE_TYPES_RANK8 = (
     [f"A{n}" for n in range(1, 9)]
@@ -22,6 +29,40 @@ SIMPLE_TYPES_RANK8 = (
     + [f"D{n}" for n in range(4, 9)]
     + ["E6", "E7", "E8", "F4", "G2"]
 )
+
+
+
+def seeded_products(draws: int, seed: int) -> list[str]:
+    """Products of total rank <= 8 drawn from a seed: simple components,
+    repeats of components already drawn, and central tori; those over the
+    work bound are left out."""
+    rng = random.Random(seed)
+    simple = [parse_type_string(t)[0][0] for t in SIMPLE_TYPES_RANK8]
+    out = set()
+    for _ in range(draws):
+        components: list[tuple[str, int]] = []
+        room = rng.randint(2, 8)
+        while True:
+            pool = components if components and rng.random() < 0.4 else simple
+            fitting = [c for c in pool if c[1] <= room]
+            if not fitting:
+                break
+            components.append(rng.choice(fitting))
+            room -= components[-1][1]
+        order, vectors = involution_work(components)
+        if components and order * vectors <= MAX_INVOLUTION_WORK:
+            parts = [f"{letter}{rank}" for letter, rank in components]
+            out.add("+".join(parts + ["T1"] * (rng.random() < 0.3)))
+    return sorted(out)
+
+
+SEARCH_ORACLE_TYPES = (
+    SIMPLE_TYPES_RANK8
+    + seeded_products(300, seed=6)
+    + ["+".join(["A1"] * k) for k in range(2, 7)]
+    + ["D4+D4", "G2+A2+G2", "A2+T1+A2", "D4+A1+A1"]
+)
+
 
 ROOT_COUNTS = {
     "A": lambda n: n * (n + 1),
@@ -169,7 +210,7 @@ def test_diagram_automorphism_cycles():
     flip = [a for a in diagram_automorphisms(rs) if not a.is_identity][0]
     assert flip.cycle_string() == "(16)(35)"
     assert flip.fixed_nodes() == (2, 4)
-    assert flip.swapped_pairs() == ((1, 6), (3, 5))
+    assert flip.perm == (6, 2, 5, 4, 3, 1)
     assert flip.order == 2
     triality = [a for a in diagram_automorphisms(build_root_system("D4")) if a.order == 3]
     assert len(triality) == 2
@@ -218,8 +259,59 @@ def test_reflection_preserves_form(type_str, data):
 
 
 def test_root_pairing_integrality():
+    # the Cartan integers <v, w^vee> = 2 (v, w) / (w, w) of the form are integers
     rs = build_root_system("G2")
     for v in rs.roots:
         for w in rs.roots:
-            n = rs.root_pairing(v, w)
-            assert n == 2 * rs.bilinear(v, w) // rs.norm(w)
+            assert 2 * rs.bilinear(v, w) % rs.norm(w) == 0
+
+
+@pytest.mark.parametrize("type_str", SEARCH_ORACLE_TYPES + ["A9", "B9", "D9"])
+def test_diagram_automorphisms_match_brute_force(type_str):
+    rs = build_root_system(type_str)
+    found = tuple(a.perm for a in diagram_automorphisms(rs))
+    assert found == diagram_automorphisms_by_permutations(rs)
+
+
+def test_search_keeps_cartan_entries_in_both_directions():
+    # a generalized Cartan matrix whose rows agree as multisets: checking
+    # the entries towards the placed nodes alone, or from them alone, would
+    # also accept node swaps
+    cartan = ((2, -1, -2), (-1, 2, -2), (-1, -2, 2))
+    rs = RootSystem((), 0, cartan, (1, 1, 1), ())
+    found = tuple(a.perm for a in diagram_automorphisms(rs))
+    assert found == diagram_automorphisms_by_permutations(rs) == ((1, 2, 3),)
+
+
+@pytest.mark.parametrize("type_str", SEARCH_ORACLE_TYPES)
+def test_involution_work_counts_automorphisms_and_sign_vectors(type_str):
+    rs = build_root_system(type_str)
+    order, vectors = involution_work(rs.components)
+    assert order == len(diagram_automorphisms(rs))
+    assert vectors == sum(cls.orbit_size for cls in enumerate_involution_classes(rs))
+
+
+def test_rank_bound():
+    assert max(r[-1] for r in VALID_RANKS.values()) == MAX_RANK
+    for type_str in ["A19", "B19", "C19", "D19", "B10+C9", "E8+E7+A3+A1"]:
+        with pytest.raises(RootDataError, match=f"rank {MAX_RANK + 1} exceeds the bound {MAX_RANK}"):
+            build_root_system(type_str)
+
+
+@pytest.mark.parametrize(
+    "type_str", ["A1+A1+A1+A1+A1+A1+A1", "D4+D4+D4", "A9+A9", "A1+A1+A1+A1+B10", "E6+E6+E6"]
+)
+def test_work_bound_refuses_products(type_str):
+    order, vectors = involution_work(parse_type_string(type_str)[0])
+    assert order * vectors > MAX_INVOLUTION_WORK
+    with pytest.raises(RootDataError, match=f"exceeds the bound {MAX_INVOLUTION_WORK}"):
+        build_root_system(type_str)
+
+
+def test_work_bound_is_that_of_the_largest_simple_type():
+    work = {
+        f"{letter}{ranks[-1]}": order * vectors
+        for letter, ranks in VALID_RANKS.items()
+        for order, vectors in [involution_work([(letter, ranks[-1])])]
+    }
+    assert max(work.values()) == work[f"D{MAX_RANK}"] == MAX_INVOLUTION_WORK
