@@ -25,7 +25,7 @@ from .catalog import FAMILIES, real_form_label
 from .classify import classify_involution
 from .involution import enumerate_involution_classes, merge_diagram_conjugates
 from .rootdata import RootDataError, build_root_system, type_string
-from .verify import CHECKS, DEFAULT_SAMPLES, MAX_VERIFY_RANK, run_checks
+from .verify import CHECKS, DEFAULT_SAMPLES, MAX_VERIFY_RANK, MAX_VERIFY_SAMPLES, run_checks
 
 
 def _check_tool_threads() -> None:
@@ -194,6 +194,9 @@ def cmd_verify(args) -> int:
     if args.max_rank > MAX_VERIFY_RANK:
         print(f"error: --max-rank {args.max_rank} exceeds the bound {MAX_VERIFY_RANK}", file=sys.stderr)
         return 2
+    if args.samples > MAX_VERIFY_SAMPLES:
+        print(f"error: --samples {args.samples} exceeds the bound {MAX_VERIFY_SAMPLES}", file=sys.stderr)
+        return 2
     results = run_checks(
         names,
         max_rank=args.max_rank,
@@ -265,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"checks to run: {', '.join(CHECKS)}, all (default: all)")
     p.add_argument("--max-rank", type=_positive_int, default=6,
                    help=f"largest rank swept, at most {MAX_VERIFY_RANK}")
-    p.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES)
+    p.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES,
+                   help=f"random chambers per type too large to enumerate, at most {MAX_VERIFY_SAMPLES}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exhaustive", action="store_true",
                    help="enumerate every chamber where the Weyl group allows it")

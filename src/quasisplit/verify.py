@@ -39,9 +39,12 @@ EXPECTED_EXCEPTIONAL_INNER = {"G2": 1, "F4": 2, "E6": 2, "E7": 3, "E8": 2}
 
 DEFAULT_SAMPLES = 2000
 DEFAULT_EXHAUSTIVE_CUTOFF = 2000
-# Largest --max-rank: all checks take about 4 s at rank 6 on a 2-vCPU VM,
-# 8-9 s at rank 7 and 18 s at rank 8.
+# Largest --max-rank.  All checks take about 0.8 s at rank 6 on a 2-vCPU VM,
+# 1.1 s at rank 7 and 2.3 s at rank 8, so the bound is conservative.
 MAX_VERIFY_RANK = 6
+# Largest --samples: the sampled sweep at --max-rank 6 takes about 6 s at
+# 20 000 samples on a 2-vCPU VM, 7.6 s at 25 000 and 10 s at 30 000.
+MAX_VERIFY_SAMPLES = 25_000
 
 
 @dataclass

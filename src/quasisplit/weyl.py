@@ -2,16 +2,19 @@
 
 The roots of a root system are numbered once (root_index), and each simple
 reflection becomes a permutation of those numbers.  A group element w is a
-chamber: the tuple of indices of w(root_k) over all roots k.  Right
-multiplication by s_i permutes that tuple in C (operator.itemgetter), and the
-sets a chamber decides, its walls and its w-positive roots, are int bitmasks.
+chamber: the tuple of indices of w(root_k) over all roots k.  The generators
+build chambers by left multiplication: held as bytes, the image of s_i w is
+the image of w passed through a 256-byte table of s_i (bytes.translate), so
+they accept root systems of at most 256 roots.  The sets a chamber decides,
+its walls and its w-positive roots, are int bitmasks.
 """
 
 from __future__ import annotations
 
-import random
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from math import isqrt
 from operator import add, itemgetter
+from random import Random
 from typing import Callable, Iterable, Sequence
 
 from .rootdata import RootSystem, Vector
@@ -19,6 +22,9 @@ from .rootdata import RootSystem, Vector
 # Exhaustive chamber enumeration is kept under this bound, the order of W(E6),
 # the largest group a sweep enumerates; larger groups are sampled.
 EXHAUSTIVE_WEYL_BOUND = 51_840
+# A byte table numbers at most 256 roots: every simple type of rank <= 11
+# and E8 (240 roots) fit, D12 (264 roots) does not.
+MAX_TABLE_ROOTS = 256
 
 
 def reflect(rs: RootSystem, i: int, v: Vector) -> Vector:
@@ -49,7 +55,9 @@ class RootIndex:
 
     reflections[i - 1][k] is the index of s_i(root_k), simple[j] the index of
     alpha_{j+1}; the positive roots are the indices below npos.  A set of
-    roots is an int bitmask with bit k for root k.
+    roots is an int bitmask with bit k for root k.  tables holds the same
+    reflections as bytes.translate tables; it is built on first use and only
+    for at most MAX_TABLE_ROOTS roots.
     """
 
     def __init__(self, rs: RootSystem):
@@ -61,13 +69,20 @@ class RootIndex:
             tuple(self.index[reflect(rs, i, v)] for v in rs.roots) for i in range(1, rs.rank + 1)
         )
         self.bits = tuple(1 << k for k in range(len(rs.roots)))
-        # movers[i - 1](img) is img composed with s_i: right multiplication.
-        self.movers = tuple(_tuple_getter(perm) for perm in self.reflections)
         self.walls_of = _tuple_getter(self.simple)
-        # wall_movers[i - 1](img) are the walls of img composed with s_i.
-        self.wall_movers = tuple(
-            _tuple_getter([perm[k] for k in self.simple]) for perm in self.reflections
-        )
+
+    @cached_property
+    def tables(self) -> tuple[bytes, ...]:
+        """tables[i - 1]: reflections[i - 1] followed by range(n, 256).
+
+        For a chamber w whose image is held as bytes img,
+        img.translate(tables[i - 1]) is the image of s_i w.
+        """
+        n = len(self.rs.roots)
+        if n > MAX_TABLE_ROOTS:
+            raise WeylError(f"{n} roots exceed the bound {MAX_TABLE_ROOTS} of the chamber tables")
+        tail = bytes(range(n, 256))
+        return tuple(bytes(perm) + tail for perm in self.reflections)
 
     def mask(self, indices: Iterable[int]) -> int:
         """Bitmask of distinct root indices."""
@@ -173,7 +188,8 @@ class Chamber:
 
     def extend(self, i: int) -> "Chamber":
         """Right multiplication by s_i: w -> w s_i."""
-        return Chamber(self.ri, self.word + (i,), self.ri.movers[i - 1](self.img))
+        perm = self.ri.reflections[i - 1]
+        return Chamber(self.ri, self.word + (i,), tuple(map(self.img.__getitem__, perm)))
 
     def w_positive_roots(self) -> frozenset[Vector]:
         return frozenset(map(self.rs.roots.__getitem__, self.img[: self.ri.npos]))
@@ -187,30 +203,44 @@ def identity_chamber(rs: RootSystem) -> Chamber:
 # (up to 51 840 chambers each) alive until the process ends.
 @lru_cache(maxsize=1)
 def all_chambers(rs: RootSystem) -> tuple[Chamber, ...]:
-    """Every Weyl group element, by breadth-first search on root permutations."""
+    """Every Weyl group element, breadth-first by length on left multiplication.
+
+    Each v other than 1 is reached once, as s_d w from w = s_d v with s_d
+    the first left descent of v, so no set of visited elements is kept and
+    each word is the lexicographically first reduced word of its element.
+    """
+    ri = root_index(rs)
+    tables = ri.tables
     order = rs.weyl_group_order()
     if order > EXHAUSTIVE_WEYL_BOUND:
         raise WeylError(f"exhaustive enumeration of {order} chambers refused")
-    ri = root_index(rs)
+    npos = ri.npos
+    # s_i w is one longer than w when alpha_i lies in w(positive roots), and
+    # has no left descent s_j with j < i when each s_i(alpha_j) lies there
+    # too.  needed holds the indices of those roots; all of them lie in the
+    # positive image when deleting them from it leaves rest indices.
+    steps = []
+    for i, (table, perm) in enumerate(zip(tables, ri.reflections), 1):
+        needed = bytes([ri.simple[i - 1], *(perm[k] for k in ri.simple[: i - 1])])
+        steps.append((i, table, needed, npos - len(needed)))
     start = identity_chamber(rs)
-    # Chambers are told apart by their walls; (w s_i)(alpha_j) = w(s_i alpha_j)
-    # reads the walls of a neighbour before its whole permutation is built.
-    seen = {start.walls: start}
-    frontier = [start]
-    steps = tuple(enumerate(zip(ri.movers, ri.wall_movers), 1))
-    while frontier:
-        nxt = []
-        for ch in frontier:
-            img = ch.img
-            for i, (move, move_walls) in steps:
-                walls = move_walls(img)
-                if walls not in seen:
-                    seen[walls] = ext = Chamber(ri, ch.word + (i,), move(img))
-                    nxt.append(ext)
-        frontier = nxt
-    if len(seen) != order:
-        raise WeylError(f"chamber count {len(seen)} != {order}")
-    return tuple(seen.values())
+    found = [start]
+    # Only the last layer, found[lo:], keeps its images as bytes.
+    lo, images = 0, [bytes(start.img)]
+    while images:
+        hi = len(found)
+        next_images = []
+        for ch, img in zip(found[lo:hi], images):
+            positive = img[:npos]
+            for i, table, needed, rest in steps:
+                if len(positive.translate(None, needed)) == rest:
+                    ext = img.translate(table)
+                    found.append(Chamber(ri, (i,) + ch.word, tuple(ext)))
+                    next_images.append(ext)
+        lo, images = hi, next_images
+    if len(found) != order:
+        raise WeylError(f"chamber count {len(found)} != {order}")
+    return tuple(found)
 
 
 def random_chambers(rs: RootSystem, count: int, seed: int) -> list[Chamber]:
@@ -219,20 +249,42 @@ def random_chambers(rs: RootSystem, count: int, seed: int) -> list[Chamber]:
     Word length is a few times the number of positive roots so the sample
     spreads across the group.  Duplicates are kept; callers want coverage,
     not uniformity.
+
+    The letters are those of Random(seed).randrange(1, rank + 1), one call
+    per letter, drawn in bulk.  randrange keeps the top k = rank.bit_length()
+    bits of the next 32-bit Mersenne Twister output and draws again while
+    they are >= rank; getrandbits(32 * m) is the next m outputs, least
+    significant first.  Nothing else draws from this generator, so drawing
+    past the last letter changes nothing.
     """
     ri = root_index(rs)
-    rng = random.Random(seed)
-    length = max(4, 4 * (len(rs.roots) // 2))
+    steps = (None, *ri.tables)  # indexed by letter
     rank = rs.rank
-    movers = ri.movers
-    start = tuple(range(len(rs.roots)))
+    length = max(4, 4 * ri.npos)
+    need = count * length
+    if need and not rank:
+        raise WeylError("no simple reflection to draw letters from")
+    k = rank.bit_length()
+    shift = 8 - k
+    # the top byte of an output gives its letter, or is deleted as a rejection
+    letter_of = bytes((b >> shift) + 1 if b >> shift < rank else 0 for b in range(256))
+    rejected = bytes(b for b in range(256) if b >> shift >= rank)
+    rng = Random(seed)
+    letters = b""
+    while len(letters) < need:
+        missing = need - len(letters)
+        # the outputs the missing letters take on average, plus a margin of
+        # sqrt(missing); a short draw is topped up by the next one
+        m = (missing << k) // rank + isqrt(missing) + 1
+        data = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
+        letters += data[3::4].translate(letter_of, rejected)
+    start = bytes(range(len(rs.roots)))
     out = []
-    for _ in range(count):
-        word = tuple(rng.randrange(1, rank + 1) for _ in range(length))
-        img = start
-        for i in word:
-            img = movers[i - 1](img)
-        out.append(Chamber(ri, word, img))
+    for at in range(0, need, length):
+        word = letters[at : at + length]
+        # s_{word[0]} ... s_{word[-1]}: the rightmost letter acts first
+        img = reduce(bytes.translate, map(steps.__getitem__, reversed(word)), start)
+        out.append(Chamber(ri, tuple(word), tuple(img)))
     return out
 
 

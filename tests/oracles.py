@@ -9,6 +9,7 @@ of folded-generator transport.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -86,6 +87,15 @@ class VectorChamber:
     def w_positive_roots(self) -> frozenset[Vector]:
         """Roots beta with w^{-1} beta positive."""
         return frozenset(v for v in self.rs.roots if sum(self.act_inv(v)) > 0)
+
+
+def randrange_words(rs: RootSystem, count: int, seed: int) -> list[tuple[int, ...]]:
+    """The words of weyl.random_chambers drawn letter by letter: one
+    Random(seed).randrange(1, rank + 1) per letter, words of length four
+    times the number of positive roots (at least 4)."""
+    rng = random.Random(seed)
+    length = max(4, 2 * len(rs.roots))
+    return [tuple(rng.randrange(1, rs.rank + 1) for _ in range(length)) for _ in range(count)]
 
 
 def coxeter_number(letter: str, rank: int) -> int:

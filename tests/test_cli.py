@@ -152,6 +152,13 @@ def test_type_over_a_bound_exits_2_before_enumerating(capsys, type_str, bound):
     assert (diagram_automorphisms.cache_info(), enumerate_involution_classes.cache_info()) == before
 
 
+def test_involutions_past_the_chamber_table_bound(capsys):
+    # D12 has more roots than a chamber byte table holds; involutions never
+    # builds chambers, so it is unaffected
+    code, out, err = run_cli(capsys, "involutions", "D12")
+    assert code == 0 and not err and out
+
+
 def test_family_text(capsys):
     code, out, _ = run_cli(capsys, "family", "SO-pair", "5", "3")
     assert code == 0
@@ -220,6 +227,19 @@ def test_verify_rank_over_the_bound_exits_2(capsys):
     code, out, err = run_cli(capsys, "verify", "support", "--max-rank", str(MAX_VERIFY_RANK + 1))
     assert code == 2 and not out
     assert f"--max-rank {MAX_VERIFY_RANK + 1} exceeds the bound {MAX_VERIFY_RANK}" in err
+
+
+def test_verify_samples_over_the_bound_exits_2(capsys):
+    from quasisplit.verify import MAX_VERIFY_SAMPLES
+
+    flags = ["--samples", str(MAX_VERIFY_SAMPLES + 1)]
+    code, out, err = run_cli(capsys, "verify", "imaginary-signs", *flags)
+    assert code == 2 and not out
+    assert f"--samples {MAX_VERIFY_SAMPLES + 1} exceeds the bound {MAX_VERIFY_SAMPLES}" in err
+    # the bound itself is accepted; every group to rank 2 is enumerated, not sampled
+    flags = ["--max-rank", "2", "--samples", str(MAX_VERIFY_SAMPLES)]
+    code, out, _ = run_cli(capsys, "verify", "imaginary-signs", *flags)
+    assert code == 0 and "PASS imaginary-signs" in out
 
 
 def test_verify_json(capsys):

@@ -1,4 +1,6 @@
+import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -6,9 +8,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from quasisplit import weyl
 from quasisplit.rootdata import build_root_system, diagram_automorphisms
 from quasisplit.verify import simple_types_up_to
 from quasisplit.weyl import (
+    MAX_TABLE_ROOTS,
     WeylError,
     all_chambers,
     folded_generators,
@@ -19,7 +23,7 @@ from quasisplit.weyl import (
     root_index,
 )
 
-from oracles import VectorChamber
+from oracles import VectorChamber, randrange_words
 
 CHAMBER_COUNTS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "G2": 12, "D4": 192, "A1+A1": 4}
 
@@ -30,6 +34,21 @@ def test_all_chambers_count(type_str, count):
     chambers = all_chambers(rs)
     assert len(chambers) == count
     assert len({ch.images for ch in chambers}) == count
+
+
+@pytest.mark.parametrize("type_str", ["A3", "B2", "G2", "A1+A2"])
+def test_all_chambers_words_are_first_reduced_words(type_str):
+    # each element is reached once, from its first left descent, so its word
+    # comes first among all words for it in (length, lexicographic) order
+    rs = build_root_system(type_str)
+    chambers = all_chambers(rs)
+    first = {}
+    length = 0
+    while len(first) < len(chambers):
+        for word in itertools.product(range(1, rs.rank + 1), repeat=length):
+            first.setdefault(VectorChamber(rs, word).images, word)
+        length += 1
+    assert {ch.images: ch.word for ch in chambers} == first
 
 
 def test_identity_chamber():
@@ -127,6 +146,71 @@ def test_random_chambers_deterministic():
     assert [ch.images for ch in a] == [ch.images for ch in b]
     c = random_chambers(rs, 5, seed=8)
     assert [ch.images for ch in a] != [ch.images for ch in c]
+
+
+# ranks 1-8 take k = 1..4 bits per letter; ranks 1, 2, 4 and 8 reject half
+# of the draws, the others fewer
+DRAW_TYPES = ["A1", "B2", "A3", "F4", "A5", "E6", "E7", "E8", "A1+A1", "G2+A1"]
+
+
+@pytest.mark.parametrize("type_str", DRAW_TYPES)
+@pytest.mark.parametrize("seed,count", [(0, 1), (3, 7), (11, 40)])
+def test_random_chambers_draw_randrange_letters(type_str, seed, count):
+    rs = build_root_system(type_str)
+    chambers = random_chambers(rs, count, seed)
+    assert [ch.word for ch in chambers] == randrange_words(rs, count, seed)
+    # the image composed from the left is the product of the word
+    ch = identity_chamber(rs)
+    for i in chambers[0].word:
+        ch = ch.extend(i)
+    assert chambers[0].img == ch.img
+
+
+class _CountingRandom(random.Random):
+    """random.Random that counts its getrandbits calls."""
+
+    draws = 0
+
+    def getrandbits(self, k):
+        self.draws += 1
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("type_str", ["B2", "E6"])
+def test_random_chambers_top_up_a_short_draw(type_str, monkeypatch):
+    made = []
+
+    def counting(seed):
+        made.append(_CountingRandom(seed))
+        return made[-1]
+
+    monkeypatch.setattr(weyl, "Random", counting)
+    rs = build_root_system(type_str)
+    for seed in range(200):
+        chambers = random_chambers(rs, 2, seed)
+        if made[-1].draws > 1:
+            break
+    else:
+        pytest.fail("every first draw was long enough; the top-up never ran")
+    assert [ch.word for ch in chambers] == randrange_words(rs, 2, seed)
+
+
+@pytest.mark.parametrize("type_str", ["D12", "A17", "D18"])
+def test_chamber_generators_refuse_more_roots_than_a_byte_table(type_str):
+    rs = build_root_system(type_str)
+    assert len(rs.roots) > MAX_TABLE_ROOTS
+    root_index(rs)  # the index itself has no such bound
+    for call in (lambda: random_chambers(rs, 1, 0), lambda: all_chambers(rs)):
+        with pytest.raises(WeylError, match=f"exceed the bound {MAX_TABLE_ROOTS}"):
+            call()
+
+
+def test_random_chambers_of_rank_zero():
+    # no letter can be drawn: a loop waiting for letters would never end
+    rs = build_root_system("T1")
+    assert random_chambers(rs, 0, 0) == []
+    with pytest.raises(WeylError, match="no simple reflection"):
+        random_chambers(rs, 1, 0)
 
 
 def test_orbit_partition_swap():
@@ -227,9 +311,10 @@ def test_guards_survive_optimized_mode():
     # python -O strips assert statements; the guards must raise all the same
     script = """
 from quasisplit.rootdata import build_root_system
-from quasisplit.weyl import WeylError, all_chambers, folded_generators
+from quasisplit.weyl import WeylError, all_chambers, folded_generators, random_chambers
 calls = [
     lambda: all_chambers(build_root_system("A8")),
+    lambda: random_chambers(build_root_system("D12"), 1, 0),
     lambda: folded_generators(build_root_system("D4"), (3, 2, 4, 1)),
 ]
 for call in calls:
