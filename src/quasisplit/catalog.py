@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .classify import fixed_group_dim, split_rank as engine_split_rank
 from .involution import DiagramAutomorphism, Grading, InvolutionClass, find_class
-from .rootdata import build_root_system, identity_automorphism, type_string
+from .rootdata import MAX_RANK, build_root_system, identity_automorphism, type_string
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,14 @@ class FamilyClass:
     @property
     def engine_type(self) -> str:
         return type_string(self.cls.rs)
+
+
+def _engine_rank(rank: int, valid: bool, needs: str, *params: int) -> int:
+    """The rank of a family's engine type.  Parameters that fail their range
+    or give a rank past MAX_RANK are refused before any grading is built."""
+    if not valid or rank > MAX_RANK:
+        raise ValueError(f"{needs} and an engine rank <= {MAX_RANK}, got {params}")
+    return rank
 
 
 def _inner(type_str: str, grading) -> InvolutionClass:
@@ -114,15 +122,14 @@ def _d_flip(k: int, fixed_grading) -> InvolutionClass:
 
 def gl_linear(m: int, n: int) -> FamilyClass:
     """GL(m+n) with conjugation by diag(1^m, -1^n); fixed group GL(m) x GL(n)."""
-    if m < 1 or n < 1:
-        raise ValueError(f"gl_linear needs m, n >= 1, got ({m}, {n})")
-    grading = tuple(-1 if i == m else 1 for i in range(1, m + n))
+    rank = _engine_rank(m + n - 1, m >= 1 and n >= 1, "gl_linear needs m, n >= 1", m, n)
+    grading = tuple(-1 if i == m else 1 for i in range(1, rank + 1))
     return FamilyClass(
         family="GL_linear",
         params=(m, n),
         ambient=f"GL{m + n}",
         description=f"conjugation by diag(1^{m}, -1^{n})",
-        cls=_inner(f"A{m + n - 1}", grading),
+        cls=_inner(f"A{rank}", grading),
         center_fixed_dim=1,
     )
 
@@ -136,23 +143,20 @@ def u_pair(m: int, n: int) -> FamilyClass:
 
 def gl_symplectic(n: int) -> FamilyClass:
     """GL(2n) with g -> J g^-t J^-1; fixed group Sp(2n), center inverted."""
-    if n < 1:
-        raise ValueError(f"gl_symplectic needs n >= 1, got {n}")
+    rank = _engine_rank(2 * n - 1, n >= 1, "gl_symplectic needs n >= 1", n)
     return FamilyClass(
         family="GL_symplectic",
         params=(n,),
         ambient=f"GL{2 * n}",
         description="transpose-inverse twisted by a symplectic form",
-        cls=_a_flip(2 * n - 1, 1),
+        cls=_a_flip(rank, 1),
         center_split_dim=1,
     )
 
 
 def gl_orthogonal(n: int) -> FamilyClass:
     """GL(n) with g -> g^-t; fixed group O(n), center inverted."""
-    if n < 2:
-        raise ValueError(f"gl_orthogonal needs n >= 2, got {n}")
-    rank = n - 1
+    rank = _engine_rank(n - 1, n >= 2, "gl_orthogonal needs n >= 2", n)
     middle = -1 if rank % 2 == 1 else None
     return FamilyClass(
         family="GL_orthogonal",
@@ -166,8 +170,7 @@ def gl_orthogonal(n: int) -> FamilyClass:
 
 def sp_gl(n: int) -> FamilyClass:
     """Sp(2n) with the involution whose fixed group is GL(n)."""
-    if n < 1:
-        raise ValueError(f"sp_gl needs n >= 1, got {n}")
+    _engine_rank(n, n >= 1, "sp_gl needs n >= 1", n)
     grading = tuple(-1 if i == n else 1 for i in range(1, n + 1))
     return FamilyClass(
         family="Sp_GL",
@@ -180,8 +183,7 @@ def sp_gl(n: int) -> FamilyClass:
 
 def so_gl(n: int) -> FamilyClass:
     """SO(2n) with the involution whose fixed group is GL(n)."""
-    if n < 2:
-        raise ValueError(f"so_gl needs n >= 2, got {n}")
+    _engine_rank(n, n >= 2, "so_gl needs n >= 2", n)
     grading = tuple(-1 if i == n else 1 for i in range(1, n + 1))
     return FamilyClass(
         family="SO_GL",
@@ -200,28 +202,26 @@ def so_pair(m: int, n: int) -> FamilyClass:
     shape: odd total dimension stays inner in type B, even total splits into
     an inner class (m, n both even) or a diagram flip (both odd).
     """
-    if m < 1 or n < 1 or m + n < 3:
-        raise ValueError(f"so_pair needs m, n >= 1 and m + n >= 3, got ({m}, {n})")
     total = m + n
+    k = _engine_rank(
+        total // 2, m >= 1 and n >= 1 and total >= 3, "so_pair needs m, n >= 1 and m + n >= 3", m, n
+    )
     if total % 2 == 1:
-        k = (total - 1) // 2
         even = m if m % 2 == 0 else n
         p = even // 2
         t = [-1] * p + [1] * (k - p)
         grading = tuple(t[i] * t[i + 1] for i in range(k - 1)) + (t[k - 1],)
         cls = _b_inner(k, grading)
+    elif m % 2 == 0:
+        p = min(m, n) // 2
+        t = [-1] * p + [1] * (k - p)
+        grading = tuple(t[i] * t[i + 1] for i in range(k - 1)) + (t[k - 2] * t[k - 1],)
+        cls = _d_inner(k, grading)
     else:
-        k = total // 2
-        if m % 2 == 0:
-            p = min(m, n) // 2
-            t = [-1] * p + [1] * (k - p)
-            grading = tuple(t[i] * t[i + 1] for i in range(k - 1)) + (t[k - 2] * t[k - 1],)
-            cls = _d_inner(k, grading)
-        else:
-            p = (min(m, n) - 1) // 2
-            t = [-1] * p + [1] * (k - p)
-            grading = tuple(t[i] * t[i + 1] for i in range(k - 2))
-            cls = _d_flip(k, grading)
+        p = (min(m, n) - 1) // 2
+        t = [-1] * p + [1] * (k - p)
+        grading = tuple(t[i] * t[i + 1] for i in range(k - 2))
+        cls = _d_flip(k, grading)
     return FamilyClass(
         family="SO_pair",
         params=(m, n),
@@ -233,9 +233,7 @@ def so_pair(m: int, n: int) -> FamilyClass:
 
 def sp_pair(m: int, n: int) -> FamilyClass:
     """Sp(2m+2n) with conjugation by diag blocks; fixed Sp(2m) x Sp(2n)."""
-    if m < 1 or n < 1:
-        raise ValueError(f"sp_pair needs m, n >= 1, got ({m}, {n})")
-    k = m + n
+    k = _engine_rank(m + n, m >= 1 and n >= 1, "sp_pair needs m, n >= 1", m, n)
     grading = tuple(-1 if i == m else 1 for i in range(1, k + 1))
     return FamilyClass(
         family="Sp_pair",

@@ -232,7 +232,11 @@ def parse_type_string(s: str) -> tuple[tuple[tuple[str, int], ...], int]:
         m = re.fullmatch(r"([A-GT])(\d+)", part)
         if not m:
             raise RootDataError(f"cannot parse type component {part!r}")
-        letter, rank = m.group(1), int(m.group(2))
+        letter, digits = m.groups()
+        try:
+            rank = int(digits)
+        except ValueError:  # past the interpreter's digit limit
+            raise RootDataError(f"cannot parse type component {letter}<{len(digits)} digits>") from None
         if letter == "T":
             torus += rank
         else:

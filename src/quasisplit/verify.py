@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .classify import admits_generic_character, indexed_grading, unipotent_image_dim
 from .involution import enumerate_involution_classes, find_class
@@ -152,10 +153,10 @@ def check_principal(max_rank: int = 8) -> CheckResult:
     return CheckResult("principal", ok, details)
 
 
-def _chambers_for(rs: RootSystem, samples: int, seed: int, exhaustive: bool) -> tuple[list[Chamber], str]:
+def _chambers_for(rs: RootSystem, samples: int, seed: int, exhaustive: bool) -> tuple[Sequence[Chamber], str]:
     order = rs.weyl_group_order()
     if order <= DEFAULT_EXHAUSTIVE_CUTOFF or (exhaustive and order <= EXHAUSTIVE_WEYL_BOUND):
-        return list(all_chambers(rs)), f"exhaustive ({order} chambers)"
+        return all_chambers(rs), f"exhaustive ({order} chambers)"
     return random_chambers(rs, samples, seed), f"sampled ({samples} chambers, seed {seed})"
 
 
@@ -190,7 +191,7 @@ def check_imaginary_signs(
                         fault_pending = False
                     if sign != -1:
                         violations.append(
-                            f"{type_str} class {g.cls.class_id} word {ch.word}"
+                            f"{type_str} class {g.cls.class_id} word {tuple(ch.word)}"
                             f" root {rs.roots[k]} sign {sign}"
                         )
     details.append(f"{scanned} surviving (class, chamber) pairs checked")

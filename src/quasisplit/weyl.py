@@ -2,11 +2,11 @@
 
 The roots of a root system are numbered once (root_index), and each simple
 reflection becomes a permutation of those numbers.  A group element w is a
-chamber: the tuple of indices of w(root_k) over all roots k.  The generators
-build chambers by left multiplication: held as bytes, the image of s_i w is
-the image of w passed through a 256-byte table of s_i (bytes.translate), so
-they accept root systems of at most 256 roots.  The sets a chamber decides,
-its walls and its w-positive roots, are int bitmasks.
+chamber: the bytes of the indices of w(root_k) over all roots k.  The
+generators build chambers by left multiplication: the image of s_i w is the
+image of w passed through a 256-byte table of s_i (bytes.translate), so
+chambers exist for at most 256 roots.  The sets a chamber decides, its walls
+and its w-positive roots, are int bitmasks.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ class RootIndex:
     reflections[i - 1][k] is the index of s_i(root_k), simple[j] the index of
     alpha_{j+1}; the positive roots are the indices below npos.  A set of
     roots is an int bitmask with bit k for root k.  tables holds the same
-    reflections as bytes.translate tables; it is built on first use and only
-    for at most MAX_TABLE_ROOTS roots.
+    reflections as bytes.translate tables, built on first use; every chamber
+    starts at identity_chamber, which refuses more than MAX_TABLE_ROOTS roots.
     """
 
     def __init__(self, rs: RootSystem):
@@ -78,10 +78,7 @@ class RootIndex:
         For a chamber w whose image is held as bytes img,
         img.translate(tables[i - 1]) is the image of s_i w.
         """
-        n = len(self.rs.roots)
-        if n > MAX_TABLE_ROOTS:
-            raise WeylError(f"{n} roots exceed the bound {MAX_TABLE_ROOTS} of the chamber tables")
-        tail = bytes(range(n, 256))
+        tail = bytes(range(len(self.rs.roots), 256))
         return tuple(bytes(perm) + tail for perm in self.reflections)
 
     def mask(self, indices: Iterable[int]) -> int:
@@ -142,22 +139,22 @@ def root_index(rs: RootSystem) -> RootIndex:
 class Chamber:
     """A Weyl group element w, stored as a permutation of root indices.
 
-    img[k] is the index of w(root_k).  The walls w(alpha_j) are the entries at
-    the simple indices, and the w-positive roots w(positive roots) are the
-    entries img[:npos].  word is one reduced-or-not expression used only for
-    bookkeeping.
+    img[k] is the index of w(root_k), held as bytes.  The walls w(alpha_j)
+    are the entries at the simple indices, and the w-positive roots
+    w(positive roots) are the entries img[:npos].  word is the bytes of one
+    reduced-or-not expression, used only for bookkeeping.
     """
 
     __slots__ = ("ri", "word", "img", "_wall_mask", "_positive_mask")
 
-    def __init__(self, ri: RootIndex, word: tuple[int, ...], img: tuple[int, ...]):
+    def __init__(self, ri: RootIndex, word: bytes, img: bytes):
         self.ri = ri
         self.word = word
         self.img = img
         self._wall_mask = self._positive_mask = None
 
     def __repr__(self) -> str:
-        return f"Chamber(word={self.word})"
+        return f"Chamber(word={tuple(self.word)})"
 
     @property
     def rs(self) -> RootSystem:
@@ -189,14 +186,18 @@ class Chamber:
     def extend(self, i: int) -> "Chamber":
         """Right multiplication by s_i: w -> w s_i."""
         perm = self.ri.reflections[i - 1]
-        return Chamber(self.ri, self.word + (i,), tuple(map(self.img.__getitem__, perm)))
+        return Chamber(self.ri, self.word + bytes((i,)), bytes(map(self.img.__getitem__, perm)))
 
     def w_positive_roots(self) -> frozenset[Vector]:
         return frozenset(map(self.rs.roots.__getitem__, self.img[: self.ri.npos]))
 
 
 def identity_chamber(rs: RootSystem) -> Chamber:
-    return Chamber(root_index(rs), (), tuple(range(len(rs.roots))))
+    """The chamber of 1, where every chamber generator starts."""
+    n = len(rs.roots)
+    if n > MAX_TABLE_ROOTS:
+        raise WeylError(f"{n} roots exceed the bound {MAX_TABLE_ROOTS} of the chamber tables")
+    return Chamber(root_index(rs), b"", bytes(range(n)))
 
 
 # A sweep needs one group at a time; a larger cache keeps every swept group
@@ -208,9 +209,10 @@ def all_chambers(rs: RootSystem) -> tuple[Chamber, ...]:
     Each v other than 1 is reached once, as s_d w from w = s_d v with s_d
     the first left descent of v, so no set of visited elements is kept and
     each word is the lexicographically first reduced word of its element.
+    Images and words are kept as the bytes the tables compute.
     """
-    ri = root_index(rs)
-    tables = ri.tables
+    start = identity_chamber(rs)
+    ri = start.ri
     order = rs.weyl_group_order()
     if order > EXHAUSTIVE_WEYL_BOUND:
         raise WeylError(f"exhaustive enumeration of {order} chambers refused")
@@ -220,24 +222,15 @@ def all_chambers(rs: RootSystem) -> tuple[Chamber, ...]:
     # too.  needed holds the indices of those roots; all of them lie in the
     # positive image when deleting them from it leaves rest indices.
     steps = []
-    for i, (table, perm) in enumerate(zip(tables, ri.reflections), 1):
+    for i, (table, perm) in enumerate(zip(ri.tables, ri.reflections), 1):
         needed = bytes([ri.simple[i - 1], *(perm[k] for k in ri.simple[: i - 1])])
-        steps.append((i, table, needed, npos - len(needed)))
-    start = identity_chamber(rs)
+        steps.append((bytes((i,)), table, needed, npos - len(needed)))
     found = [start]
-    # Only the last layer, found[lo:], keeps its images as bytes.
-    lo, images = 0, [bytes(start.img)]
-    while images:
-        hi = len(found)
-        next_images = []
-        for ch, img in zip(found[lo:hi], images):
-            positive = img[:npos]
-            for i, table, needed, rest in steps:
-                if len(positive.translate(None, needed)) == rest:
-                    ext = img.translate(table)
-                    found.append(Chamber(ri, (i,) + ch.word, tuple(ext)))
-                    next_images.append(ext)
-        lo, images = hi, next_images
+    for ch in found:  # read as it grows, so layer by layer
+        positive = ch.img[:npos]
+        for letter, table, needed, rest in steps:
+            if len(positive.translate(None, needed)) == rest:
+                found.append(Chamber(ri, letter + ch.word, ch.img.translate(table)))
     if len(found) != order:
         raise WeylError(f"chamber count {len(found)} != {order}")
     return tuple(found)
@@ -257,7 +250,8 @@ def random_chambers(rs: RootSystem, count: int, seed: int) -> list[Chamber]:
     significant first.  Nothing else draws from this generator, so drawing
     past the last letter changes nothing.
     """
-    ri = root_index(rs)
+    start = identity_chamber(rs)
+    ri = start.ri
     steps = (None, *ri.tables)  # indexed by letter
     rank = rs.rank
     length = max(4, 4 * ri.npos)
@@ -278,13 +272,12 @@ def random_chambers(rs: RootSystem, count: int, seed: int) -> list[Chamber]:
         m = (missing << k) // rank + isqrt(missing) + 1
         data = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
         letters += data[3::4].translate(letter_of, rejected)
-    start = bytes(range(len(rs.roots)))
     out = []
     for at in range(0, need, length):
         word = letters[at : at + length]
         # s_{word[0]} ... s_{word[-1]}: the rightmost letter acts first
-        img = reduce(bytes.translate, map(steps.__getitem__, reversed(word)), start)
-        out.append(Chamber(ri, tuple(word), tuple(img)))
+        img = reduce(bytes.translate, map(steps.__getitem__, reversed(word)), start.img)
+        out.append(Chamber(ri, word, img))
     return out
 
 

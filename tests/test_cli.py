@@ -131,6 +131,16 @@ def test_bad_type_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("letter", ["A", "T"])
+def test_type_number_past_the_digit_limit_exits_2(capsys, letter):
+    # int() refuses strings of more than 4300 digits with a ValueError
+    with pytest.raises(SystemExit) as exc:
+        main(["involutions", letter + "1" * 5000])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"type component {letter}<5000 digits>" in captured.err and not captured.out
+
+
 @pytest.mark.parametrize(
     "type_str,bound",
     [
@@ -317,3 +327,25 @@ def test_family_guards_survive_optimized_mode(params):
 def test_verify_scope_checks_survive_optimized_mode():
     proc = _run_optimized("verify", "imaginary-signs", "--max-rank", "0", "--samples", "-1")
     assert proc.returncode == 2 and not proc.stdout
+
+
+_LIMITED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+from quasisplit.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("params", [["SO-pair", str(10**12), str(10**12)], ["GL-linear", "1", str(10**12)]])
+def test_family_rank_past_the_bound_exits_2_before_building(params):
+    # a grading of length 10**12 would need terabytes; the child process is
+    # held to 256 MiB of address space, so building one fails instead of
+    # taking the machine's memory
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIMITED_CLI, "family", *params],
+        capture_output=True, text=True, timeout=30, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "out of range" in proc.stderr and not proc.stdout

@@ -1,5 +1,7 @@
 import pytest
 
+from quasisplit import verify
+from quasisplit.classify import IndexedGrading
 from quasisplit.involution import enumerate_involution_classes
 from quasisplit.rootdata import build_root_system
 from quasisplit.verify import (
@@ -96,3 +98,29 @@ def test_sampled_mode_on_higher_rank():
     result = check_imaginary_signs(max_rank=5, samples=40, seed=1)
     assert result.passed
     assert any("sampled (40 chambers, seed 1)" in d for d in result.details)
+
+
+def test_violation_lines_print_words_as_tuples(monkeypatch):
+    # a real violation: every imaginary root of A1 "-" and A2 "+-" reads
+    # sign +1 while the compact masks, and so the surviving pairs, stay
+    # as they are.  A1 is swept exhaustively and A2 sampled.
+    def flipped(cls, rep):
+        g = IndexedGrading(cls, rep)
+        if cls.class_id in ("-", "+-"):
+            g.signs = tuple(abs(s) for s in g.signs)
+        return g
+
+    monkeypatch.setattr(verify, "indexed_grading", flipped)
+    monkeypatch.setattr(verify, "simple_types_up_to", lambda max_rank: ["A1", "A2"])
+    monkeypatch.setattr(verify, "DEFAULT_EXHAUSTIVE_CUTOFF", 2)
+    result = check_imaginary_signs(max_rank=2, samples=1, seed=0)
+    assert not result.passed
+    assert result.details == [
+        "A1: exhaustive (2 chambers), 2 classes",
+        "A2: sampled (1 chambers, seed 0), 3 classes",
+        "4 surviving (class, chamber) pairs checked",
+        "A1 class - word () root (1,) sign 1",
+        "A1 class - word (1,) root (-1,) sign 1",
+        "A2 class +- word (2, 2, 1, 2, 2, 2, 2, 2, 2, 1, 1, 2) root (0, 1) sign 1",
+        "A2 class +- word (2, 2, 1, 2, 2, 2, 2, 2, 2, 1, 1, 2) root (-1, -1) sign 1",
+    ]

@@ -48,15 +48,16 @@ def test_all_chambers_words_are_first_reduced_words(type_str):
         for word in itertools.product(range(1, rs.rank + 1), repeat=length):
             first.setdefault(VectorChamber(rs, word).images, word)
         length += 1
-    assert {ch.images: ch.word for ch in chambers} == first
+    assert {ch.images: tuple(ch.word) for ch in chambers} == first
 
 
 def test_identity_chamber():
     rs = build_root_system("B2")
     ch = identity_chamber(rs)
     assert ch.w_positive_roots() == frozenset(rs.positive_roots)
-    assert ch.img == tuple(range(len(rs.roots)))
+    assert ch.img == bytes(range(len(rs.roots)))
     assert ch.images == rs.simple_roots
+    assert repr(ch) == "Chamber(word=())" and repr(ch.extend(2)) == "Chamber(word=(2,))"
     oracle = VectorChamber(rs, ch.word)
     for v in rs.roots:
         assert oracle.act(v) == v and oracle.act_inv(v) == v
@@ -139,6 +140,16 @@ def test_longest_element_exists():
         )
 
 
+@pytest.mark.parametrize("type_str", ["B4", "E6"])
+def test_random_chambers_are_elements_of_all_chambers(type_str):
+    # both generators hold a chamber in one format, so a sampled image is
+    # found among the enumerated ones as it is
+    rs = build_root_system(type_str)
+    images = {ch.img for ch in all_chambers(rs)}
+    sample = random_chambers(rs, 50, seed=3)
+    assert all(ch.img in images for ch in sample)
+
+
 def test_random_chambers_deterministic():
     rs = build_root_system("B3")
     a = random_chambers(rs, 5, seed=7)
@@ -158,7 +169,7 @@ DRAW_TYPES = ["A1", "B2", "A3", "F4", "A5", "E6", "E7", "E8", "A1+A1", "G2+A1"]
 def test_random_chambers_draw_randrange_letters(type_str, seed, count):
     rs = build_root_system(type_str)
     chambers = random_chambers(rs, count, seed)
-    assert [ch.word for ch in chambers] == randrange_words(rs, count, seed)
+    assert [tuple(ch.word) for ch in chambers] == randrange_words(rs, count, seed)
     # the image composed from the left is the product of the word
     ch = identity_chamber(rs)
     for i in chambers[0].word:
@@ -192,7 +203,7 @@ def test_random_chambers_top_up_a_short_draw(type_str, monkeypatch):
             break
     else:
         pytest.fail("every first draw was long enough; the top-up never ran")
-    assert [ch.word for ch in chambers] == randrange_words(rs, 2, seed)
+    assert [tuple(ch.word) for ch in chambers] == randrange_words(rs, 2, seed)
 
 
 @pytest.mark.parametrize("type_str", ["D12", "A17", "D18"])
@@ -200,7 +211,7 @@ def test_chamber_generators_refuse_more_roots_than_a_byte_table(type_str):
     rs = build_root_system(type_str)
     assert len(rs.roots) > MAX_TABLE_ROOTS
     root_index(rs)  # the index itself has no such bound
-    for call in (lambda: random_chambers(rs, 1, 0), lambda: all_chambers(rs)):
+    for call in (lambda: random_chambers(rs, 1, 0), lambda: all_chambers(rs), lambda: identity_chamber(rs)):
         with pytest.raises(WeylError, match=f"exceed the bound {MAX_TABLE_ROOTS}"):
             call()
 
@@ -311,10 +322,11 @@ def test_guards_survive_optimized_mode():
     # python -O strips assert statements; the guards must raise all the same
     script = """
 from quasisplit.rootdata import build_root_system
-from quasisplit.weyl import WeylError, all_chambers, folded_generators, random_chambers
+from quasisplit.weyl import WeylError, all_chambers, folded_generators, identity_chamber, random_chambers
 calls = [
     lambda: all_chambers(build_root_system("A8")),
     lambda: random_chambers(build_root_system("D12"), 1, 0),
+    lambda: identity_chamber(build_root_system("D12")),
     lambda: folded_generators(build_root_system("D4"), (3, 2, 4, 1)),
 ]
 for call in calls:
