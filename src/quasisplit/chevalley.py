@@ -54,22 +54,6 @@ def down_string_length(rs: RootSystem, a: Vector, through: Vector) -> int:
         p += 1
 
 
-def coroot_coefficients(rs: RootSystem, a: Vector) -> Vector:
-    """a^vee in the simple coroot basis: coefficient i is (d_i / d_a) * a_i.
-
-    Always integral because long-root lengths divide evenly along strings.
-    """
-    da2 = rs.norm(a)
-    out = []
-    for i in range(rs.rank):
-        num = a[i] * 2 * rs.lengths[i]
-        q, r = divmod(num, da2)
-        if r:
-            raise ChevalleyError(f"coroot of {a} not integral")
-        out.append(q)
-    return tuple(out)
-
-
 class StructureConstants:
     """N(a, b) for every pair of roots with a + b a root.
 
@@ -152,10 +136,6 @@ class StructureConstants:
             raise ChevalleyError("string relation gave a non-integral constant")
         return q
 
-    def extraspecial_pair(self, gamma: Vector) -> tuple[Vector, Vector]:
-        mu, nu = _positive_pairs(self.ri, self.ri.index[gamma])[0]
-        return self.rs.roots[mu], self.rs.roots[nu]
-
     def n(self, a: Vector, b: Vector) -> int:
         """N(a, b) for roots a, b with a + b a root."""
         if not self.rs.is_root(_add(a, b)):
@@ -169,43 +149,6 @@ class StructureConstants:
         if i < npos:
             return self._mixed(i, j - npos)
         return -self._mixed(j, i - npos)
-
-    def bracket(self, x: dict, y: dict) -> dict:
-        """Bracket of algebra elements in the basis {("root", a)} u {("coroot", i)}.
-
-        Coroot entries are 0-based simple coroot coefficients; exact integer
-        arithmetic throughout.
-        """
-        rs = self.rs
-        out: dict = {}
-
-        def accumulate(key, value):
-            if not value:
-                return
-            out[key] = out.get(key, 0) + value
-            if not out[key]:
-                del out[key]
-
-        for kx, cx in x.items():
-            for ky, cy in y.items():
-                coeff = cx * cy
-                if kx[0] == "coroot" and ky[0] == "coroot":
-                    continue
-                if kx[0] == "coroot":
-                    i, b = kx[1], ky[1]
-                    accumulate(ky, coeff * rs.pairing(b, i + 1))
-                elif ky[0] == "coroot":
-                    i, a = ky[1], kx[1]
-                    accumulate(kx, -coeff * rs.pairing(a, i + 1))
-                else:
-                    a, b = kx[1], ky[1]
-                    s = _add(a, b)
-                    if s == tuple([0] * rs.rank):
-                        for i, ci in enumerate(coroot_coefficients(rs, a)):
-                            accumulate(("coroot", i), coeff * ci)
-                    elif rs.is_root(s):
-                        accumulate(("root", s), coeff * self.n(a, b))
-        return out
 
 
 @lru_cache(maxsize=None)
@@ -226,9 +169,6 @@ class PinnedSigns:
     aut: DiagramAutomorphism
     theta: tuple[int, ...] = field(compare=False)
     signs: tuple[int, ...] = field(compare=False)
-
-    def c(self, a: Vector) -> int:
-        return self.signs[root_index(self.rs).index[a]]
 
 
 @lru_cache(maxsize=None)

@@ -21,7 +21,7 @@ from typing import Iterable
 
 from .chevalley import pinned_signs
 from .involution import Grading, InvolutionClass, grading_string
-from .rootdata import format_subsystem, identify_subsystem, type_string, Vector
+from .rootdata import format_subsystem, identify_subsystem, type_string
 from .weyl import Chamber, root_index
 
 
@@ -87,15 +87,6 @@ class IndexedGrading:
 @lru_cache(maxsize=None)
 def indexed_grading(cls: InvolutionClass, rep: Grading) -> IndexedGrading:
     return IndexedGrading(cls, rep)
-
-
-def eps(cls: InvolutionClass, rep: Grading, beta: Vector) -> int:
-    """Sign of theta on the root space of an imaginary root."""
-    g = indexed_grading(cls, rep)
-    sign = g.signs[g.ri.index[beta]]
-    if not sign:
-        raise ValueError(f"{beta} is not imaginary for this class")
-    return sign
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .classify import admits_generic_character, indexed_grading, unipotent_image_dim
 from .involution import enumerate_involution_classes, find_class
-from .rootdata import RootSystem, build_root_system, identity_automorphism, support_connected
+from .rootdata import VALID_RANKS, RootSystem, build_root_system, identity_automorphism, support_connected
 from .weyl import (
     EXHAUSTIVE_WEYL_BOUND,
     Chamber,
@@ -40,8 +40,10 @@ EXPECTED_EXCEPTIONAL_INNER = {"G2": 1, "F4": 2, "E6": 2, "E7": 3, "E8": 2}
 
 DEFAULT_SAMPLES = 2000
 DEFAULT_EXHAUSTIVE_CUTOFF = 2000
-# Largest --max-rank.  All checks take about 0.8 s at rank 6 on a 2-vCPU VM,
-# 1.1 s at rank 7 and 2.3 s at rank 8, so the bound is conservative.
+# Largest --max-rank.  At default samples all checks take about 0.8 s at
+# rank 6 on a 2-vCPU VM and 1.1 s at rank 7, but at the --samples cap the
+# imaginary-signs sweep takes 7.1-7.6 s and 91 MB at rank 6 against
+# 13.4-13.9 s and 104 MB at rank 7, which would double the slowest run.
 MAX_VERIFY_RANK = 6
 # Largest --samples: the sampled sweep at --max-rank 6 takes about 6 s at
 # 20 000 samples on a 2-vCPU VM, 7.6 s at 25 000 and 10 s at 30 000.
@@ -63,16 +65,7 @@ class CheckResult:
 
 
 def simple_types_up_to(max_rank: int) -> list[str]:
-    out = [f"A{n}" for n in range(1, max_rank + 1)]
-    out += [f"B{n}" for n in range(2, max_rank + 1)]
-    out += [f"C{n}" for n in range(3, max_rank + 1)]
-    out += [f"D{n}" for n in range(4, max_rank + 1)]
-    out += [f"E{n}" for n in (6, 7, 8) if n <= max_rank]
-    if max_rank >= 4:
-        out.append("F4")
-    if max_rank >= 2:
-        out.append("G2")
-    return out
+    return [f"{letter}{n}" for letter, ranks in VALID_RANKS.items() for n in ranks if n <= max_rank]
 
 
 def transport_orbit_partition(rs: RootSystem) -> list[frozenset]:

@@ -29,10 +29,8 @@ MAX_TABLE_ROOTS = 256
 
 def reflect(rs: RootSystem, i: int, v: Vector) -> Vector:
     """Simple reflection s_i (1-based) acting on a vector in root coordinates."""
-    row = rs.cartan[i - 1]
-    pairing = sum(row[j] * v[j] for j in range(rs.rank))
     out = list(v)
-    out[i - 1] -= pairing
+    out[i - 1] -= rs.pairing(v, i)
     return tuple(out)
 
 

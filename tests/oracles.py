@@ -211,7 +211,7 @@ def pinned_signs_by_vectors(rs: RootSystem, aut) -> dict[Vector, Fraction]:
 def _eps_by_vectors(cls, rep, beta: Vector) -> int:
     """eps of an imaginary root: pinned sign times the grading signs at the
     fixed nodes where beta has an odd coefficient."""
-    value = pinned_signs(cls.rs, cls.aut).c(beta)
+    value = pinned_signs(cls.rs, cls.aut).signs[cls.rs.roots.index(beta)]
     for k, node in enumerate(cls.fixed_nodes):
         if beta[node - 1] % 2:
             value *= rep[k]
@@ -336,36 +336,120 @@ def unipotent_image_dim_gl(d: tuple[int, ...], perm: tuple[int, ...]) -> int:
     return sum(1 for a in range(n - 1) if d[perm[a]] == d[perm[a + 1]])
 
 
-def jacobi_violations(nc) -> int:
-    """Jacobi identity failures over all basis triples, exact integers.
+def coroot_coefficients(rs: RootSystem, a: Vector) -> Vector:
+    """a^vee in the simple coroot basis: coefficient i is (d_i / d_a) * a_i.
 
-    nc is a StructureConstants instance; the identity is antisymmetric in the
-    inner pair, so b < c suffices.
+    Always integral because long-root lengths divide evenly along strings.
     """
-    rs = nc.rs
-    basis = [("root", v) for v in rs.roots] + [("coroot", i) for i in range(rs.rank)]
-    failures = 0
+    da2 = rs.norm(a)
+    out = []
+    for i in range(rs.rank):
+        q, r = divmod(a[i] * 2 * rs.lengths[i], da2)
+        if r:
+            raise AssertionError(f"coroot of {a} not integral")
+        out.append(q)
+    return tuple(out)
 
-    def add(x: dict, y: dict) -> dict:
-        out = dict(x)
-        for k, v in y.items():
-            out[k] = out.get(k, 0) + v
-            if not out[k]:
-                del out[k]
+
+class ChevalleyAlgebra:
+    """The Lie algebra on the Chevalley basis with the constants N(a, b) of a
+    StructureConstants instance nc, in exact integers.
+
+    An element is a dict from basis keys to nonzero coefficients: ("root", a)
+    for the root vector e_a and ("coroot", i) for the 0-based simple coroot
+    h_i.  basis lists the roots in rs.roots order and then the coroots, and
+    weights[k] is the weight of basis[k] (0 for a coroot).  The bracket of two
+    basis keys is computed once and kept.
+    """
+
+    def __init__(self, nc):
+        self.nc = nc
+        self.rs = rs = nc.rs
+        self.basis = [("root", v) for v in rs.roots] + [("coroot", i) for i in range(rs.rank)]
+        self.weights = list(rs.roots) + [(0,) * rs.rank] * rs.rank
+        self._brackets: dict = {}
+
+    def basis_bracket(self, kx, ky) -> dict:
+        out = self._brackets.get((kx, ky))
+        if out is None:
+            out = self._brackets[(kx, ky)] = self._compute(kx, ky)
         return out
 
-    for bi in range(len(basis)):
-        bvec = {basis[bi]: 1}
-        for ci in range(bi + 1, len(basis)):
-            cvec = {basis[ci]: 1}
-            bc = nc.bracket(bvec, cvec)
-            for a_key in basis:
-                avec = {a_key: 1}
-                lhs = nc.bracket(avec, bc)
-                rhs = add(
-                    nc.bracket(nc.bracket(avec, bvec), cvec),
-                    nc.bracket(bvec, nc.bracket(avec, cvec)),
-                )
-                if lhs != rhs:
-                    failures += 1
-    return failures
+    def _compute(self, kx, ky) -> dict:
+        rs = self.rs
+        if kx[0] == "coroot" and ky[0] == "coroot":
+            return {}
+        if kx[0] == "coroot":
+            value = rs.pairing(ky[1], kx[1] + 1)
+            return {ky: value} if value else {}
+        if ky[0] == "coroot":
+            value = -rs.pairing(kx[1], ky[1] + 1)
+            return {kx: value} if value else {}
+        a, b = kx[1], ky[1]
+        s = tuple(x + y for x, y in zip(a, b))
+        if not any(s):
+            return {("coroot", i): c for i, c in enumerate(coroot_coefficients(rs, a)) if c}
+        if rs.is_root(s):
+            return {("root", s): self.nc.n(a, b)}
+        return {}
+
+    def bracket(self, x: dict, y: dict) -> dict:
+        """Bilinear extension of basis_bracket."""
+        out: dict = {}
+        for kx, cx in x.items():
+            for ky, cy in y.items():
+                for k, c in self.basis_bracket(kx, ky).items():
+                    out[k] = out.get(k, 0) + cx * cy * c
+        return {k: c for k, c in out.items() if c}
+
+
+def jacobi_triples(alg: ChevalleyAlgebra, dense: bool = False):
+    """Basis index triples (a, b, c), b < c, of the Jacobi identity
+    [x_a, [x_b, x_c]] = [[x_a, x_b], x_c] + [x_b, [x_a, x_c]].
+
+    Every term lies in the weight space of wt(a) + wt(b) + wt(c), which is
+    zero outside Phi u {0}.  So unless dense, only the triples whose weights
+    sum into Phi u {0} are yielded (Carter, Simple Groups of Lie Type, 4.1).
+    The identity is antisymmetric in b, c, so b < c suffices.
+    """
+    n = len(alg.basis)
+    pairs = list(itertools.combinations(range(n), 2))
+    if dense:
+        for a in range(n):
+            for b, c in pairs:
+                yield a, b, c
+        return
+    weights = alg.weights
+    by_sum: dict = {}
+    for b, c in pairs:
+        key = tuple(x + y for x, y in zip(weights[b], weights[c]))
+        by_sum.setdefault(key, []).append((b, c))
+    targets = [*alg.rs.roots, (0,) * alg.rs.rank]
+    for a in range(n):
+        wa = weights[a]
+        for gamma in targets:
+            for b, c in by_sum.get(tuple(g - x for g, x in zip(gamma, wa)), ()):
+                yield a, b, c
+
+
+def jacobi_sides(alg: ChevalleyAlgebra, a: int, b: int, c: int) -> tuple[dict, dict]:
+    """[x_a, [x_b, x_c]] and [[x_a, x_b], x_c] + [x_b, [x_a, x_c]] for basis indices."""
+    ka, kb, kc = alg.basis[a], alg.basis[b], alg.basis[c]
+    lhs = alg.bracket({ka: 1}, alg.basis_bracket(kb, kc))
+    rhs = alg.bracket(alg.basis_bracket(ka, kb), {kc: 1})
+    for k, v in alg.bracket({kb: 1}, alg.basis_bracket(ka, kc)).items():
+        rhs[k] = rhs.get(k, 0) + v
+    return lhs, {k: v for k, v in rhs.items() if v}
+
+
+def jacobi_violations(nc, dense: bool = False) -> tuple[int, int]:
+    """(failures, triples checked) of the Jacobi identity over the basis
+    triples of jacobi_triples, in exact integers; nc is a StructureConstants
+    instance."""
+    alg = ChevalleyAlgebra(nc)
+    failures = checked = 0
+    for a, b, c in jacobi_triples(alg, dense):
+        lhs, rhs = jacobi_sides(alg, a, b, c)
+        failures += lhs != rhs
+        checked += 1
+    return failures, checked

@@ -22,6 +22,7 @@ from quasisplit.verify import (
     check_principal,
     simple_types_up_to,
 )
+from quasisplit.weyl import root_index
 
 from oracles import jacobi_violations
 
@@ -179,12 +180,16 @@ def test_criterion_08_imaginary_sign_sweep(capsys):
 
 def test_criterion_09_chevalley_properties(capsys):
     jacobi_failures = 0
+    jacobi_checked = 0
     pair_checks = 0
     sign_checks = 0
-    for type_str in simple_types_up_to(6):
+    types = simple_types_up_to(7)
+    for type_str in types:
         rs = build_root_system(type_str)
         nc = structure_constants(rs)
-        jacobi_failures += jacobi_violations(nc)
+        failures, triples = jacobi_violations(nc)
+        jacobi_failures += failures
+        jacobi_checked += triples
         pos = rs.positive_roots
         pos_set = set(pos)
         for a, b in itertools.combinations(pos, 2):
@@ -193,19 +198,21 @@ def test_criterion_09_chevalley_properties(capsys):
                 pair_checks += 1
                 assert nc.n(b, a) == -nc.n(a, b)
                 assert abs(nc.n(a, b)) == down_string_length(rs, a, b) + 1
+        index = root_index(rs).index
         for aut in diagram_automorphisms(rs):
             if aut.order != 2:
                 continue
-            signs = pinned_signs(rs, aut)  # construction asserts well-definedness
+            signs = pinned_signs(rs, aut).signs  # construction asserts well-definedness
             for beta in pos:
                 sign_checks += 1
-                assert signs.c(beta) * signs.c(aut.on_root(beta)) == 1
-    ok = jacobi_failures == 0 and pair_checks > 0 and sign_checks > 0
+                assert signs[index[beta]] * signs[index[aut.on_root(beta)]] == 1
+    ok = jacobi_failures == 0 and jacobi_checked > 0 and pair_checks > 0 and sign_checks > 0
     report(
         capsys,
         ok,
-        f"criterion 9: rank <= 6 Chevalley layer exact: 0 Jacobi failures,"
-        f" {pair_checks} constant magnitude/antisymmetry checks,"
+        f"criterion 9: rank <= 7 Chevalley layer exact ({len(types)} simple types, E7 included):"
+        f" {jacobi_failures} Jacobi failures in {jacobi_checked} basis triples with weights"
+        f" summing into Phi u {{0}}, {pair_checks} constant magnitude/antisymmetry checks,"
         f" {sign_checks} pinned-sign involution checks",
     )
 

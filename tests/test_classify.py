@@ -9,8 +9,8 @@ import pytest
 from quasisplit.classify import (
     admits_generic_character,
     classify_involution,
-    eps,
     fixed_group_dim,
+    indexed_grading,
     k_subsystem,
     root_counts,
     split_rank,
@@ -107,10 +107,11 @@ def test_counts_are_orbit_invariant():
         for cls in _classes(type_str):
             expected = root_counts(cls)
             for rep in cls.orbit:
+                signs = indexed_grading(cls, rep).signs
                 compact = noncompact = cplx = 0
-                for beta in cls.rs.roots:
+                for k, beta in enumerate(cls.rs.roots):
                     if cls.aut.on_root(beta) == beta:
-                        if eps(cls, rep, beta) == 1:
+                        if signs[k] == 1:
                             compact += 1
                         else:
                             noncompact += 1
@@ -120,9 +121,12 @@ def test_counts_are_orbit_invariant():
 
 
 def test_eps_rejects_complex_roots():
+    # the eps table holds 0 at a complex root, and only there
     cls = _by_id("A3")["(13):+"]
-    with pytest.raises(ValueError):
-        eps(cls, cls.canonical_rep, (1, 0, 0))
+    g = indexed_grading(cls, cls.canonical_rep)
+    k = cls.rs.roots.index((1, 0, 0))
+    assert g.signs[k] == 0 and not g.imaginary >> k & 1
+    assert all((sign == 0) == (g.theta[j] != j) for j, sign in enumerate(g.signs))
 
 
 def _a3_chamber_permutation(chamber):
@@ -263,14 +267,13 @@ def test_preconditions_survive_optimized_mode():
     # must raise all the same
     script = """
 from quasisplit.chevalley import ChevalleyError, structure_constants
-from quasisplit.classify import eps, indexed_grading, k_subsystem
+from quasisplit.classify import indexed_grading, k_subsystem
 from quasisplit.involution import enumerate_involution_classes
 from quasisplit.rootdata import build_root_system
 by_id = {c.class_id: c for c in enumerate_involution_classes(build_root_system("A3"))}
 outer, inner = by_id["(13):+"], by_id["+-+"]
 calls = [
     lambda: k_subsystem(outer),
-    lambda: eps(outer, outer.canonical_rep, (1, 0, 0)),
     lambda: indexed_grading(inner, (1, 1, 1)),
     lambda: structure_constants(build_root_system("A2")).n((1, 0), (1, 1)),
 ]
