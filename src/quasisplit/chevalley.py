@@ -7,6 +7,8 @@ fixed by declaring the constant of the first pair, the extraspecial pair,
 positive.  Every other constant follows from the standard relations among
 constants of four roots summing to zero and of three roots summing to zero.
 Magnitudes are p + 1 where p is the length of the descending root string.
+Root strings, norms and theta0 are read from root keys (rootdata.root_key),
+and the relations are solved in exact integers.
 
 A diagram automorphism theta0 lifts to the algebra fixing the simple root
 vectors; on the remaining root vectors it acts by signs c(a) computed
@@ -17,23 +19,15 @@ per root index, which the involution enumeration and classification read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
-from .rootdata import DiagramAutomorphism, RootSystem, Vector
+from .rootdata import DiagramAutomorphism, RootSystem, Vector, root_key
 from .weyl import RootIndex, root_index
 
 
 class ChevalleyError(ArithmeticError):
     """A relation among the structure constants or the pinned signs failed."""
-
-
-def _add(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _sub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def _positive_pairs(ri: RootIndex, gamma: int) -> list[list[int]]:
@@ -43,15 +37,34 @@ def _positive_pairs(ri: RootIndex, gamma: int) -> list[list[int]]:
     return [ri.indices(pair) for pair in ri.sums[gamma] if pair < limit]
 
 
-def down_string_length(rs: RootSystem, a: Vector, through: Vector) -> int:
-    """Number of steps k >= 1 with through - k*a still a root."""
+def string_length(ri: RootIndex, a: int, through: int) -> int:
+    """Number of steps k >= 1 with root_through - k * root_a still a root, by key."""
+    step, at = ri.key[a], ri.at
+    cur = ri.key[through] - step
     p = 0
-    cur = through
-    while True:
-        cur = _sub(cur, a)
-        if not rs.is_root(cur):
-            return p
+    while cur in at:
         p += 1
+        cur -= step
+    return p
+
+
+def root_norms(rs: RootSystem, ri: RootIndex) -> tuple[int, ...]:
+    """Squared length of every root, by root index.
+
+    alpha_i has norm 2 d_i.  A positive root beta of height > 1 pairs
+    positively with some alpha_i, and s_i beta is a lower positive root of
+    the same norm, since norms are W-invariant; -beta has the norm of beta.
+    """
+    norms = [0] * ri.npos
+    for k, d in zip(ri.simple, rs.lengths):
+        norms[k] = 2 * d
+    for k, pairings in enumerate(rs.pairings):
+        if not norms[k]:
+            lower = ri.reflections[pairings.index(max(pairings))][k]
+            if not norms[lower]:
+                raise ChevalleyError(f"no lower reflection of {rs.roots[k]} has a norm yet")
+            norms[k] = norms[lower]
+    return tuple(norms) * 2
 
 
 class StructureConstants:
@@ -59,7 +72,7 @@ class StructureConstants:
 
     Roots are root indices (weyl.root_index).  pos[(a, b)] is N(a, b) for
     positive a, b; _diff[(x, y)] is the index of x - y for positive x, y
-    when that is a root; _norm[k] is the squared length of root k.
+    when that is a root; norms[k] is the squared length of root k.
     """
 
     def __init__(self, rs: RootSystem):
@@ -67,23 +80,22 @@ class StructureConstants:
         self.ri = root_index(rs)
         self.pos: dict[tuple[int, int], int] = {}
         self._diff: dict[tuple[int, int], int] = {}
-        self._norm = tuple(map(rs.norm, rs.roots))
+        self.norms = root_norms(rs, self.ri)
         self._build()
 
     def _build(self) -> None:
-        rs = self.rs
-        roots = rs.roots
-        for gamma in range(self.ri.npos):
-            pairs = _positive_pairs(self.ri, gamma)
+        ri, roots = self.ri, self.rs.roots
+        for gamma in range(ri.npos):
+            pairs = _positive_pairs(ri, gamma)
             if not pairs:
                 continue
             (mu, nu), *others = pairs
             if sum(roots[mu]) != 1:
                 raise ChevalleyError(f"smallest summand of {roots[gamma]} is not simple")
-            self._store(mu, nu, gamma, down_string_length(rs, roots[mu], roots[nu]) + 1)
+            self._store(mu, nu, gamma, string_length(ri, mu, nu) + 1)
             for alpha, beta in others:
                 value = self._from_four_term(mu, nu, alpha, beta, gamma)
-                expect = down_string_length(rs, roots[alpha], roots[beta]) + 1
+                expect = string_length(ri, alpha, beta) + 1
                 if abs(value) != expect:
                     raise ChevalleyError(
                         f"constant for {roots[alpha]}+{roots[beta]} is {value}, string gives {expect}"
@@ -104,33 +116,36 @@ class StructureConstants:
         # For four roots (mu, nu, -alpha, -beta) summing to zero with no two
         # opposite, the pairwise constants satisfy a three-term relation in
         # which each product is weighted by the norm of its pair sum; the
-        # weights only cancel when all root lengths agree.
-        t1 = self._weighted(nu, alpha, mu, beta)
-        t2 = self._weighted(mu, alpha, nu, beta)
-        value = self._norm[gamma] * (t1 - t2) / self.pos[(mu, nu)]
-        if value.denominator != 1:
+        # weights only cancel when all root lengths agree.  The constant is
+        # |gamma|^2 (t1 - t2) / N(mu, nu) with t = num / den.
+        num1, den1 = self._weighted(nu, alpha, mu, beta)
+        num2, den2 = self._weighted(mu, alpha, nu, beta)
+        top = self.norms[gamma] * (num1 * den2 - num2 * den1)
+        value, r = divmod(top, den1 * den2 * self.pos[(mu, nu)])
+        if r:
             raise ChevalleyError("four-term relation gave a non-integral constant")
-        return int(value)
+        return value
 
-    def _weighted(self, x: int, y: int, u: int, v: int) -> Fraction:
-        """N(x, -y) N(u, -v) / |x - y|^2 for x - y = v - u; 0 when x - y is no root."""
+    def _weighted(self, x: int, y: int, u: int, v: int) -> tuple[int, int]:
+        """N(x, -y) N(u, -v) / |x - y|^2 for x - y = v - u, as (numerator,
+        denominator); 0 when x - y is no root."""
         delta = self._diff.get((x, y))
         if delta is None:
-            return Fraction(0)
-        return Fraction(self._mixed(x, y) * self._mixed(u, v), self._norm[delta])
+            return 0, 1
+        return self._mixed(x, y) * self._mixed(u, v), self.norms[delta]
 
     def _mixed(self, xi: int, eta: int) -> int:
         """N(xi, -eta) for positive xi, eta with xi != eta."""
         delta = self._diff.get((xi, eta))
         if delta is None:
             return 0
-        norm = self._norm
+        norms = self.norms
         if delta < self.ri.npos:  # xi = eta + delta
-            value = -norm[delta] * self.pos[(eta, delta)]
-            den = norm[xi]
+            value = -norms[delta] * self.pos[(eta, delta)]
+            den = norms[xi]
         else:  # eta = xi + (-delta)
-            value = norm[delta] * self.pos[(delta - self.ri.npos, xi)]
-            den = norm[eta]
+            value = norms[delta] * self.pos[(delta - self.ri.npos, xi)]
+            den = norms[eta]
         q, r = divmod(value, den)
         if r:
             raise ChevalleyError("string relation gave a non-integral constant")
@@ -138,10 +153,11 @@ class StructureConstants:
 
     def n(self, a: Vector, b: Vector) -> int:
         """N(a, b) for roots a, b with a + b a root."""
-        if not self.rs.is_root(_add(a, b)):
-            raise ChevalleyError(f"{a} + {b} is not a root")
+        index = self.ri.index
+        if a not in index or b not in index or not self.rs.is_root(tuple(map(add, a, b))):
+            raise ChevalleyError(f"{a} and {b} are not two roots whose sum is a root")
         npos = self.ri.npos
-        i, j = self.ri.index[a], self.ri.index[b]
+        i, j = index[a], index[b]
         if i < npos and j < npos:
             return self.pos[(i, j)]
         if i >= npos and j >= npos:
@@ -180,10 +196,13 @@ def pinned_signs(rs: RootSystem, aut: DiagramAutomorphism) -> PinnedSigns:
     checked for every other decomposition.  Also checks c(a) c(theta0 a) = 1,
     which makes the lift an involution when theta0 is.
     """
-    ri = root_index(rs)
-    theta = tuple(ri.index[aut.on_root(v)] for v in rs.roots)
     if aut.is_identity:
-        return PinnedSigns(rs, aut, theta, (1,) * len(rs.roots))
+        return PinnedSigns(rs, aut, tuple(range(len(rs.roots))), (1,) * len(rs.roots))
+    ri = root_index(rs)
+    # theta0 moves coefficient i to node perm[i], so unit i to unit perm[i]
+    moved = tuple(ri.units[j - 1] for j in aut.perm)
+    theta = tuple(ri.at[root_key(v, moved)] for v in rs.positive_roots)
+    theta += tuple(k + ri.npos for k in theta)
     n = structure_constants(rs).pos
     signs = [1] * ri.npos
     for gamma in range(ri.npos):

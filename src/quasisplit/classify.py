@@ -40,7 +40,8 @@ class IndexedGrading:
     eps of an imaginary root is its pinned sign times the grading signs at
     the fixed-node coefficients; swapped-node coefficients never contribute
     because the torus part is normalized to +1 there.  So it is the pinned
-    sign times -1 to the sum of the coefficients at the minus nodes.
+    sign times -1 to the number of minus nodes where the root has an odd
+    coefficient (RootIndex.odd).
     """
 
     def __init__(self, cls: InvolutionClass, rep: Grading):
@@ -49,16 +50,11 @@ class IndexedGrading:
         self.ri = ri = root_index(cls.rs)
         pinned = pinned_signs(cls.rs, cls.aut)
         self.theta = theta = pinned.theta
-        minus = [node - 1 for node, s in zip(cls.fixed_nodes, rep) if s == -1]
-        signs = []
-        for k, beta in enumerate(cls.rs.roots):
-            if theta[k] != k:
-                signs.append(0)
-            elif sum(beta[i] for i in minus) % 2:
-                signs.append(-pinned.signs[k])
-            else:
-                signs.append(pinned.signs[k])
-        self.signs = tuple(signs)
+        minus = sum(ri.units[node - 1] for node, s in zip(cls.fixed_nodes, rep) if s == -1)
+        self.signs = signs = tuple(
+            0 if t != k else -sign if (odd & minus).bit_count() & 1 else sign
+            for k, (t, sign, odd) in enumerate(zip(theta, pinned.signs, ri.odd))
+        )
         self.imaginary = ri.mask(k for k, t in enumerate(theta) if t == k)
         self.compact = ri.mask(k for k, sign in enumerate(signs) if sign == 1)
 

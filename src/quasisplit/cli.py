@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 
 from .catalog import FAMILIES, real_form_label
 from .classify import classify_involution
@@ -56,7 +55,7 @@ def _build(type_str: str):
 
 
 def _class_record(cls) -> dict:
-    record = asdict(classify_involution(cls))
+    record = dict(vars(classify_involution(cls)))
     record["real_form"] = real_form_label(cls)
     return record
 

@@ -3,7 +3,9 @@
 A root system is specified by a product of simple types (Bourbaki numbering
 within each component) plus an optional central torus.  Roots are integer
 vectors in simple-root coordinates, generated from the Cartan matrix by
-root-string extension.  Everything is exact integer arithmetic.
+root-string extension, which finds them by their packed-int keys (root_key)
+and carries their pairings with the simple coroots.  Everything is exact
+integer arithmetic.
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add, mul
 from typing import Iterable, Sequence
 
 Vector = tuple[int, ...]
@@ -51,6 +54,26 @@ def weyl_order(letter: str, rank: int) -> int:
 
 class RootDataError(ValueError):
     pass
+
+
+# A root's key packs its coefficient j into the signed bit field j of width
+# KEY_BITS: key(v) = sum of v_j << KEY_BITS * j, so key(-v) = -key(v) and the
+# key of a sum or difference is the sum or difference of keys.  Packing is
+# injective on vectors whose coefficients lie in [-63, 63].  Roots keep their
+# coefficients within KEY_COEFFICIENT_BOUND (31), so every sum, difference
+# and root-string step of two roots does too; simple types need at most 6 (E8).
+KEY_BITS = 7
+KEY_COEFFICIENT_BOUND = (1 << KEY_BITS - 2) - 1
+
+
+def key_units(rank: int) -> tuple[int, ...]:
+    """The keys of the simple roots alpha_1, ..., alpha_rank."""
+    return tuple(1 << KEY_BITS * j for j in range(rank))
+
+
+def root_key(v: Vector, units: Sequence[int]) -> int:
+    """The key of v, given key_units(len(v))."""
+    return sum(map(mul, v, units))
 
 
 def involution_work(components: Sequence[tuple[str, int]]) -> tuple[int, int]:
@@ -115,40 +138,46 @@ def _simple_lengths(letter: str, rank: int) -> list[int]:
     return [1] * rank
 
 
-def _generate_positive_roots(cartan: Sequence[Sequence[int]]) -> list[Vector]:
-    """All positive roots by root-string extension, lowest height first.
+def _generate_positive_roots(cartan: Sequence[Sequence[int]]) -> tuple[list[Vector], list[Vector]]:
+    """All positive roots by root-string extension, lowest height first, and
+    the pairings <beta, alpha_i^vee> of each root beta with every simple coroot.
 
     beta + alpha_i is a root iff the alpha_i-string through beta extends up,
-    i.e. p - <beta, alpha_i^vee> >= 1 where p counts the steps down.
+    i.e. p - <beta, alpha_i^vee> >= 1 where p counts the steps down.  Root
+    strings are unbroken, so that holds iff the pairing is negative or
+    beta - (pairing + 1) alpha_i is a root, which is looked up by key (see
+    root_key).  The pairings of beta + alpha_i are those of beta plus
+    column i of the Cartan matrix.
     """
     rank = len(cartan)
+    units = key_units(rank)
+    columns = [tuple(row[i] for row in cartan) for i in range(rank)]
     simples = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    known = set(simples)
-    level = list(simples)
-    positives = list(simples)
+    known = set(units)
+    level = sorted(zip(simples, units, columns))
+    positives = [beta for beta, _, _ in level]
+    pairings = [pairs for _, _, pairs in level]
     while level:
         nxt = []
-        for beta in level:
-            for i in range(rank):
-                pairing = sum(cartan[i][j] * beta[j] for j in range(rank))
-                p = 0
-                down = list(beta)
-                while True:
-                    down[i] -= 1
-                    if down[i] < 0 or tuple(down) not in known:
-                        break
-                    p += 1
-                if p - pairing >= 1:
-                    up = list(beta)
-                    up[i] += 1
-                    cand = tuple(up)
-                    if cand not in known:
-                        known.add(cand)
-                        nxt.append(cand)
-        positives.extend(sorted(nxt))
+        for beta, key, pairs in level:
+            for i, pairing in enumerate(pairs):
+                unit = units[i]
+                if pairing >= 0 and key - (pairing + 1) * unit not in known:
+                    continue
+                up = key + unit
+                if up in known:
+                    continue
+                if beta[i] >= KEY_COEFFICIENT_BOUND:
+                    raise RootDataError(
+                        f"root coefficient {beta[i] + 1} exceeds the key bound {KEY_COEFFICIENT_BOUND}"
+                    )
+                known.add(up)
+                nxt.append((beta[:i] + (beta[i] + 1,) + beta[i + 1 :], up, tuple(map(add, pairs, columns[i]))))
+        nxt.sort()
+        positives.extend(beta for beta, _, _ in nxt)
+        pairings.extend(pairs for _, _, pairs in nxt)
         level = nxt
-    positives.sort(key=lambda v: (sum(v), v))
-    return positives
+    return positives, pairings
 
 
 @dataclass(frozen=True)
@@ -156,8 +185,10 @@ class RootSystem:
     """Immutable based root datum: components, Cartan matrix, and all roots.
 
     roots lists the positive roots sorted by (height, lexicographic), followed
-    by their negatives in the same order.  Node indices are 1-based and run
-    consecutively through the components.
+    by their negatives in the same order.  pairings[k][i] is
+    <root_k, alpha_{i+1}^vee> for each positive root k, as root generation
+    finds them; the Weyl layer builds its reflections from them.  Node
+    indices are 1-based and run consecutively through the components.
     """
 
     components: tuple[tuple[str, int], ...]
@@ -165,6 +196,7 @@ class RootSystem:
     cartan: tuple[tuple[int, ...], ...]
     lengths: tuple[int, ...]
     roots: tuple[Vector, ...]
+    pairings: tuple[Vector, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_root_set", frozenset(self.roots))
@@ -194,19 +226,6 @@ class RootSystem:
         """<v, alpha_i^vee> for 1-based node i."""
         row = self.cartan[i - 1]
         return sum(row[j] * v[j] for j in range(self.rank))
-
-    def bilinear(self, v: Vector, w: Vector) -> int:
-        """Weyl-invariant form (v, w) built from the symmetrized Cartan matrix."""
-        total = 0
-        for i in range(self.rank):
-            if v[i]:
-                di = self.lengths[i]
-                ci = self.cartan[i]
-                total += v[i] * di * sum(ci[j] * w[j] for j in range(self.rank))
-        return total
-
-    def norm(self, v: Vector) -> int:
-        return self.bilinear(v, v)
 
     def adjacent(self, i: int, j: int) -> bool:
         return i != j and self.cartan[i - 1][j - 1] != 0
@@ -281,31 +300,28 @@ def build_root_system(spec: str | tuple = "", central_torus_dim: int = 0) -> Roo
 
     cartan = [[0] * total for _ in range(total)]
     lengths: list[int] = []
+    positives: list[tuple[Vector, Vector]] = []
     offset = 0
-    blocks: list[tuple[int, list[Vector]]] = []
     for letter, rank in components:
         block = _simple_cartan(letter, rank)
         for i in range(rank):
             for j in range(rank):
                 cartan[offset + i][offset + j] = block[i][j]
         lengths.extend(_simple_lengths(letter, rank))
-        blocks.append((offset, _generate_positive_roots(block)))
+        before, after = (0,) * offset, (0,) * (total - offset - rank)
+        # roots and pairings of a component vanish off its nodes
+        for v, pairs in zip(*_generate_positive_roots(block)):
+            positives.append((before + v + after, before + pairs + after))
         offset += rank
-
-    positives: list[Vector] = []
-    for off, block_roots in blocks:
-        for v in block_roots:
-            full = [0] * total
-            full[off : off + len(v)] = v
-            positives.append(tuple(full))
-    positives.sort(key=lambda v: (sum(v), v))
-    roots = tuple(positives) + tuple(tuple(-x for x in v) for v in positives)
+    positives.sort(key=lambda entry: (sum(entry[0]), entry[0]))
+    roots = tuple(v for v, _ in positives)
     return RootSystem(
         components=components,
         central_torus_dim=central_torus_dim,
         cartan=tuple(tuple(row) for row in cartan),
         lengths=tuple(lengths),
-        roots=roots,
+        roots=roots + tuple(tuple(-x for x in v) for v in roots),
+        pairings=tuple(pairs for _, pairs in positives),
     )
 
 
@@ -335,13 +351,6 @@ class DiagramAutomorphism:
             current = tuple(self.perm[i - 1] for i in current)
             n += 1
         return n
-
-    def on_root(self, v: Vector) -> Vector:
-        out = [0] * len(v)
-        for i, coeff in enumerate(v):
-            if coeff:
-                out[self.perm[i] - 1] = coeff
-        return tuple(out)
 
     def fixed_nodes(self) -> tuple[int, ...]:
         return tuple(i + 1 for i in range(len(self.perm)) if self.perm[i] == i + 1)
@@ -498,7 +507,9 @@ def identify_subsystem(rs: RootSystem, simple_vectors: Sequence[Vector]) -> tupl
     if not vecs:
         return ()
     n = len(vecs)
-    gram = [[rs.bilinear(v, w) for v in vecs] for w in vecs]
+    # (alpha_i, w) for every node i, once per w; (v, w) is its sum against v
+    forms = [[d * sum(map(mul, row, w)) for d, row in zip(rs.lengths, rs.cartan)] for w in vecs]
+    gram = [[sum(map(mul, v, form)) for v in vecs] for form in forms]
     # cartan[i][j] = <vecs[j], vecs[i]^vee>
     cartan = [[2 * g // row[i] for g in row] for i, row in enumerate(gram)]
     unseen = set(range(n))

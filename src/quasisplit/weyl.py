@@ -1,23 +1,24 @@
 """Weyl group machinery: chambers, orbits, and folded subgroups.
 
-The roots of a root system are numbered once (root_index), and each simple
-reflection becomes a permutation of those numbers.  A group element w is a
-chamber: the bytes of the indices of w(root_k) over all roots k.  The
-generators build chambers by left multiplication: the image of s_i w is the
-image of w passed through a 256-byte table of s_i (bytes.translate), so
-chambers exist for at most 256 roots.  The sets a chamber decides, its walls
-and its w-positive roots, are int bitmasks.
+The roots of a root system are numbered once (root_index) and found by
+their packed-int keys (rootdata.root_key), and each simple reflection
+becomes a permutation of those numbers, built by key arithmetic.  A group
+element w is a chamber: the bytes of the indices of w(root_k) over all
+roots k.  The generators build chambers by left multiplication: the image
+of s_i w is the image of w passed through a 256-byte table of s_i
+(bytes.translate), so chambers exist for at most 256 roots.  The sets a
+chamber decides, its walls and its w-positive roots, are int bitmasks.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, reduce
 from math import isqrt
-from operator import add, itemgetter
+from operator import itemgetter, neg
 from random import Random
 from typing import Callable, Iterable, Sequence
 
-from .rootdata import RootSystem, Vector
+from .rootdata import KEY_COEFFICIENT_BOUND, RootSystem, Vector, key_units, root_key
 
 # Exhaustive chamber enumeration is kept under this bound, the order of W(E6),
 # the largest group a sweep enumerates; larger groups are sampled.
@@ -51,23 +52,67 @@ def _tuple_getter(indices: Sequence[int]) -> Callable[[Sequence[int]], tuple[int
 class RootIndex:
     """The roots of one root system, numbered by their position in rs.roots.
 
-    reflections[i - 1][k] is the index of s_i(root_k), simple[j] the index of
-    alpha_{j+1}; the positive roots are the indices below npos.  A set of
-    roots is an int bitmask with bit k for root k.  tables holds the same
-    reflections as bytes.translate tables, built on first use; every chamber
-    starts at identity_chamber, which refuses more than MAX_TABLE_ROOTS roots.
+    key[k] is the key of root k (rootdata.root_key) and at maps each key back
+    to its index; root k + npos is the negative of root k, and the positive
+    roots are the indices below npos.  reflections[i - 1][k] is the index of
+    s_i(root_k), simple[j] the index of alpha_{j+1}.  A set of roots is an
+    int bitmask with bit k for root k.  tables holds the same reflections as
+    bytes.translate tables, built on first use; every chamber starts at
+    identity_chamber, which refuses more than MAX_TABLE_ROOTS roots.
     """
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        self.index = {v: k for k, v in enumerate(rs.roots)}
-        self.npos = len(rs.roots) // 2
-        self.simple = tuple(self.index[a] for a in rs.simple_roots)
-        self.reflections = tuple(
-            tuple(self.index[reflect(rs, i, v)] for v in rs.roots) for i in range(1, rs.rank + 1)
-        )
-        self.bits = tuple(1 << k for k in range(len(rs.roots)))
+        roots = rs.roots
+        self.npos = npos = len(roots) // 2
+        bound = KEY_COEFFICIENT_BOUND
+        if roots and not -bound <= min(map(min, roots)) <= max(map(max, roots)) <= bound:
+            raise WeylError(f"a root coefficient lies outside the key bound {bound}")
+        self.units = units = key_units(rs.rank)
+        self.key = keys = tuple(root_key(v, units) for v in roots)
+        self.at = at = dict(zip(keys, range(len(keys))))
+        if len(at) != len(keys) or keys[npos:] != tuple(map(neg, keys[:npos])):
+            raise WeylError("the roots are not distinct positive roots followed by their negatives")
+        if len(rs.pairings) != npos:
+            raise WeylError(f"{len(rs.pairings)} coroot pairings for {npos} positive roots")
+        try:
+            self.simple = tuple(map(at.__getitem__, units))
+            self.reflections = tuple(map(self._reflection, units, zip(*rs.pairings)))
+        except KeyError:
+            raise WeylError("the roots are not closed under the simple reflections") from None
+        self.bits = tuple(1 << k for k in range(len(roots)))
         self.walls_of = _tuple_getter(self.simple)
+
+    def _reflection(self, unit: int, pairings: Sequence[int]) -> tuple[int, ...]:
+        """The simple reflection with the given key unit, as an index permutation.
+
+        s_i(root_k) = root_k - <root_k, alpha_i^vee> alpha_i, so only the
+        positive roots with a nonzero pairing move, and s_i(-root_k) is the
+        negative of s_i(root_k).
+        """
+        keys, at, npos = self.key, self.at, self.npos
+        perm = list(range(len(keys)))
+        for k, pairing in enumerate(pairings):
+            if pairing:
+                j = at[keys[k] - pairing * unit]
+                perm[k] = j
+                perm[k + npos] = j + npos if j < npos else j - npos
+        return tuple(perm)
+
+    @cached_property
+    def index(self) -> dict[Vector, int]:
+        """The index of each root, by its coefficient vector."""
+        return {v: k for k, v in enumerate(self.rs.roots)}
+
+    @cached_property
+    def odd(self) -> tuple[int, ...]:
+        """odd[k]: the key bits of the nodes at which root k has an odd coefficient.
+
+        Bit KEY_BITS * (i - 1) stands for node i, as in units; -root_k has
+        the odd nodes of root_k.
+        """
+        lows = sum(self.units)
+        return tuple(map(lows.__and__, self.key[: self.npos])) * 2
 
     @cached_property
     def tables(self) -> tuple[bytes, ...]:
@@ -102,12 +147,10 @@ class RootIndex:
         relation among three roots is one of these.  The negative of root k
         is root k + npos.
         """
-        roots, npos, bits = self.rs.roots, self.npos, self.bits
-        out: list[list[int]] = [[] for _ in roots]
+        keys, at, npos, bits = self.key, self.at, self.npos, self.bits
+        out: list[list[int]] = [[] for _ in keys]
         for a in range(npos):
-            alpha = roots[a]
-            for b in range(a + 1, npos):
-                c = self.index.get(tuple(map(add, alpha, roots[b])))
+            for b, c in zip(range(a + 1, npos), map(at.get, map(keys[a].__add__, keys[a + 1 : npos]))):
                 if c is None:
                     continue
                 na, nb, nc = a + npos, b + npos, c + npos

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from operator import sub
 
 import numpy as np
 
@@ -42,6 +43,76 @@ def roots_by_reflection_closure(rs: RootSystem) -> frozenset[Vector]:
                     nxt.add(w)
         frontier = nxt
     return frozenset(seen)
+
+
+def bilinear(rs: RootSystem, v: Vector, w: Vector) -> int:
+    """Weyl-invariant form (v, w) built from the symmetrized Cartan matrix, on tuples."""
+    total = 0
+    for i in range(rs.rank):
+        if v[i]:
+            row = rs.cartan[i]
+            total += v[i] * rs.lengths[i] * sum(row[j] * w[j] for j in range(rs.rank))
+    return total
+
+
+def norm(rs: RootSystem, v: Vector) -> int:
+    return bilinear(rs, v, v)
+
+
+def on_root(aut, v: Vector) -> Vector:
+    """A diagram automorphism on a root in simple-root coordinates:
+    coefficient i moves to node aut.perm[i]."""
+    out = [0] * len(v)
+    for i, coeff in enumerate(v):
+        if coeff:
+            out[aut.perm[i] - 1] = coeff
+    return tuple(out)
+
+
+def positive_roots_by_string_extension(cartan) -> list[Vector]:
+    """All positive roots of a Cartan matrix by root-string extension on
+    coefficient tuples, lowest height first, lexicographic within a height:
+    beta + alpha_i is a root iff p - <beta, alpha_i^vee> >= 1, p counting the
+    steps down the alpha_i-string through beta one tuple at a time."""
+    rank = len(cartan)
+    simples = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    known = set(simples)
+    level = list(simples)
+    positives = list(simples)
+    while level:
+        nxt = []
+        for beta in level:
+            for i in range(rank):
+                pairing = sum(cartan[i][j] * beta[j] for j in range(rank))
+                p = 0
+                down = list(beta)
+                while True:
+                    down[i] -= 1
+                    if down[i] < 0 or tuple(down) not in known:
+                        break
+                    p += 1
+                if p - pairing >= 1:
+                    up = list(beta)
+                    up[i] += 1
+                    cand = tuple(up)
+                    if cand not in known:
+                        known.add(cand)
+                        nxt.append(cand)
+        positives.extend(sorted(nxt))
+        level = nxt
+    positives.sort(key=lambda v: (sum(v), v))
+    return positives
+
+
+def down_string_length(rs: RootSystem, a: Vector, through: Vector) -> int:
+    """Number of steps k >= 1 with through - k*a still a root, on tuples."""
+    p = 0
+    cur = through
+    while True:
+        cur = tuple(map(sub, cur, a))
+        if not rs.is_root(cur):
+            return p
+        p += 1
 
 
 class VectorChamber:
@@ -203,7 +274,7 @@ def pinned_signs_by_vectors(rs: RootSystem, aut) -> dict[Vector, Fraction]:
             signs[gamma] = Fraction(1)
             continue
         mu, nu = extraspecial_pair_by_vectors(rs, gamma)
-        top = signs[mu] * signs[nu] * nc.n(aut.on_root(mu), aut.on_root(nu))
+        top = signs[mu] * signs[nu] * nc.n(on_root(aut, mu), on_root(aut, nu))
         signs[gamma] = top / nc.n(mu, nu)
     return signs
 
@@ -224,7 +295,7 @@ def unipotent_fixed_dim_by_vectors(cls, rep, positive: frozenset[Vector]) -> int
     count one diagonal."""
     total = 0
     for beta in positive:
-        tb = cls.aut.on_root(beta)
+        tb = on_root(cls.aut, beta)
         if tb == beta:
             if _eps_by_vectors(cls, rep, beta) == 1:
                 total += 1
@@ -239,7 +310,7 @@ def unipotent_image_dim_by_vectors(cls, rep, walls: tuple[Vector, ...], positive
     when the partner is a wall too."""
     total = 0
     for beta in walls:
-        tb = cls.aut.on_root(beta)
+        tb = on_root(cls.aut, beta)
         if tb == beta:
             if _eps_by_vectors(cls, rep, beta) == 1:
                 total += 1
@@ -341,7 +412,7 @@ def coroot_coefficients(rs: RootSystem, a: Vector) -> Vector:
 
     Always integral because long-root lengths divide evenly along strings.
     """
-    da2 = rs.norm(a)
+    da2 = norm(rs, a)
     out = []
     for i in range(rs.rank):
         q, r = divmod(a[i] * 2 * rs.lengths[i], da2)

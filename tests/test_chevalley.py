@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from quasisplit.chevalley import (
     ChevalleyError,
     StructureConstants,
-    down_string_length,
     pinned_signs,
     structure_constants,
 )
@@ -16,10 +15,12 @@ from quasisplit.weyl import root_index
 from oracles import (
     ChevalleyAlgebra,
     coroot_coefficients,
+    down_string_length,
     extraspecial_pair_by_vectors,
     jacobi_sides,
     jacobi_triples,
     jacobi_violations,
+    on_root,
     pinned_signs_by_vectors,
     sl_flip_fixed_dim,
     sl_flip_image,
@@ -96,6 +97,8 @@ def test_n_rejects_non_root_sum():
     nc = structure_constants(rs)
     with pytest.raises(ChevalleyError):
         nc.n((1, 0), (1, 1))  # sum (2, 1) is not a root
+    with pytest.raises(ChevalleyError):
+        nc.n((2, 0), (-1, 1))  # sum (1, 1) is a root, but (2, 0) is not
 
 
 @pytest.mark.parametrize("type_str", SMALL_TYPES)
@@ -192,7 +195,7 @@ def test_pinned_signs_are_units_and_square_to_one(type_str, perm):
     c = _signs_by_root(rs, aut)
     for a in rs.roots:
         assert c[a] in (1, -1)
-        assert c[a] * c[aut.on_root(a)] == 1
+        assert c[a] * c[on_root(aut, a)] == 1
         assert c[a] == c[_neg(a)]
     for a in rs.simple_roots:
         assert c[a] == 1

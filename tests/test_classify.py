@@ -26,6 +26,7 @@ from quasisplit.weyl import all_chambers, identity_chamber
 from oracles import (
     VectorChamber,
     k_subsystem_by_vectors,
+    on_root,
     unipotent_fixed_dim_by_vectors,
     unipotent_fixed_dim_gl,
     unipotent_image_dim_by_vectors,
@@ -110,7 +111,7 @@ def test_counts_are_orbit_invariant():
                 signs = indexed_grading(cls, rep).signs
                 compact = noncompact = cplx = 0
                 for k, beta in enumerate(cls.rs.roots):
-                    if cls.aut.on_root(beta) == beta:
+                    if on_root(cls.aut, beta) == beta:
                         if signs[k] == 1:
                             compact += 1
                         else:

@@ -1,0 +1,122 @@
+"""The integer root-key tables against their vector definitions.
+
+Root generation, the Weyl layer's root index, the structure constants and
+the gradings all work on packed-int root keys (rootdata.root_key).  Each
+table built from keys is pinned here against the coefficient-tuple
+arithmetic it replaces, over every simple type of rank <= 8, seeded
+products, and the largest classical types.
+"""
+
+import os
+import subprocess
+import sys
+from operator import add
+from pathlib import Path
+
+import pytest
+
+from quasisplit.chevalley import pinned_signs, root_norms, string_length
+from quasisplit.rootdata import (
+    KEY_COEFFICIENT_BOUND,
+    RootDataError,
+    RootSystem,
+    _generate_positive_roots,
+    build_root_system,
+    diagram_automorphisms,
+)
+from quasisplit.weyl import RootIndex, WeylError, reflect, root_index
+
+from oracles import down_string_length, norm, on_root, positive_roots_by_string_extension
+from test_rootdata import SIMPLE_TYPES_RANK8, seeded_products
+
+KEY_TYPES = SIMPLE_TYPES_RANK8 + seeded_products(20, seed=10) + ["B18", "C18", "D18"]
+
+
+@pytest.mark.parametrize("type_str", KEY_TYPES)
+def test_integer_tables_match_vector_definitions(type_str):
+    rs = build_root_system(type_str)
+    ri = root_index(rs)
+    roots, n = rs.roots, len(rs.roots)
+    index = {v: k for k, v in enumerate(roots)}
+    assert list(rs.positive_roots) == positive_roots_by_string_extension(rs.cartan)
+    nodes = range(1, rs.rank + 1)
+    assert rs.pairings == tuple(tuple(rs.pairing(v, i) for i in nodes) for v in rs.positive_roots)
+    assert len(set(ri.key)) == n
+    assert ri.index == index
+    for i, perm in enumerate(ri.reflections, 1):
+        assert perm == tuple(index[reflect(rs, i, v)] for v in roots)
+    expected = [set() for _ in roots]
+    for g in range(n):
+        for d in range(g + 1, n):
+            k = index.get(tuple(map(add, roots[g], roots[d])))
+            if k is not None:
+                expected[k].add(ri.bits[g] | ri.bits[d])
+    assert [set(pairs) for pairs in ri.sums] == expected
+    assert all(len(pairs) == len(set(pairs)) for pairs in ri.sums)
+    assert root_norms(rs, ri) == tuple(norm(rs, v) for v in roots)
+    for a, alpha in enumerate(rs.positive_roots):
+        for b, beta in enumerate(roots):
+            assert string_length(ri, a, b) == down_string_length(rs, alpha, beta)
+    for aut in diagram_automorphisms(rs):
+        assert pinned_signs(rs, aut).theta == tuple(index[on_root(aut, v)] for v in roots)
+    assert ri.odd == tuple(sum(u for c, u in zip(v, ri.units) if c % 2) for v in roots)
+
+
+def _hand_built(coefficient: int) -> RootSystem:
+    """A rank-one system with the roots +-alpha_1 and +-coefficient * alpha_1."""
+    roots = ((1,), (coefficient,), (-1,), (-coefficient,))
+    return RootSystem((), 0, ((2,),), (1,), roots, ((2,), (2 * coefficient,)))
+
+
+def test_key_bound_is_refused():
+    # keys pack injectively while sums and differences of roots stay in
+    # their fields; a coefficient past the bound is refused, not hashed
+    bound = KEY_COEFFICIENT_BOUND
+    assert RootIndex(_hand_built(bound)).reflections == ((2, 3, 0, 1),)
+    for coefficient in (bound + 1, -bound - 1, 1000):
+        with pytest.raises(WeylError, match=f"outside the key bound {bound}"):
+            RootIndex(_hand_built(coefficient))
+    # an affine Cartan matrix has roots of every height; generation stops
+    # at the bound instead of running on
+    with pytest.raises(RootDataError, match=f"exceeds the key bound {bound}"):
+        _generate_positive_roots(((2, -2), (-2, 2)))
+
+
+def test_root_index_refuses_malformed_systems():
+    cartan, lengths = ((2,),), (1,)
+    malformed = [
+        RootSystem((), 0, cartan, lengths, ((1,), (1,)), ((2,),)),  # not negatives
+        RootSystem((), 0, cartan, lengths, ((1,), (-1,)), ()),  # no pairings
+        RootSystem((), 0, cartan, lengths, ((2,), (-2,)), ((4,),)),  # no alpha_1
+        RootSystem((), 0, cartan, lengths, ((1,), (-1,)), ((1,),)),  # s_1 leaves the roots
+    ]
+    for rs in malformed:
+        with pytest.raises(WeylError):
+            RootIndex(rs)
+
+
+def test_key_bound_survives_optimized_mode():
+    # python -O strips assert statements; the bound must be refused all the same
+    script = """
+from quasisplit.rootdata import RootDataError, RootSystem, _generate_positive_roots
+from quasisplit.weyl import RootIndex, WeylError
+calls = [
+    lambda: RootIndex(RootSystem((), 0, ((2,),), (1,), ((32,), (-32,)), ((64,),))),
+    lambda: _generate_positive_roots(((2, -2), (-2, 2))),
+]
+for call in calls:
+    try:
+        call()
+    except (RootDataError, WeylError):
+        continue
+    raise SystemExit("bound was not refused")
+print("ok")
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"

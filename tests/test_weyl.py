@@ -23,7 +23,7 @@ from quasisplit.weyl import (
     root_index,
 )
 
-from oracles import VectorChamber, randrange_words
+from oracles import VectorChamber, on_root, randrange_words
 
 CHAMBER_COUNTS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "G2": 12, "D4": 192, "A1+A1": 4}
 
@@ -296,7 +296,7 @@ def _commuting_chamber_images(rs, aut):
     out = set()
     for ch in all_chambers(rs):
         oracle = VectorChamber(rs, ch.word)
-        if all(oracle.act(aut.on_root(a)) == aut.on_root(oracle.act(a)) for a in rs.simple_roots):
+        if all(oracle.act(on_root(aut, a)) == on_root(aut, oracle.act(a)) for a in rs.simple_roots):
             out.add(ch.images)
     return out
 
