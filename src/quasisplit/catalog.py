@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .classify import fixed_group_dim, split_rank as engine_split_rank
-from .involution import DiagramAutomorphism, Grading, InvolutionClass, find_class
+from .involution import DiagramAutomorphism, InvolutionClass, find_class
 from .rootdata import MAX_RANK, build_root_system, identity_automorphism, type_string
 
 

@@ -25,11 +25,6 @@ from .rootdata import format_subsystem, identify_subsystem, type_string
 from .weyl import Chamber, root_index
 
 
-def _check_rep(cls: InvolutionClass, rep: Grading) -> None:
-    if not cls.contains(rep):
-        raise ValueError(f"grading {grading_string(rep)} is not in the orbit of class {cls.class_id!r}")
-
-
 class IndexedGrading:
     """One class at one grading, in root-index form (see weyl.root_index).
 
@@ -45,7 +40,8 @@ class IndexedGrading:
     """
 
     def __init__(self, cls: InvolutionClass, rep: Grading):
-        _check_rep(cls, rep)
+        if not cls.contains(rep):
+            raise ValueError(f"grading {grading_string(rep)} is not in the orbit of class {cls.class_id!r}")
         self.cls = cls
         self.ri = ri = root_index(cls.rs)
         pinned = pinned_signs(cls.rs, cls.aut)

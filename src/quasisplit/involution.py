@@ -10,11 +10,12 @@ theta0-centralizer subgroup of the Weyl group, acting through the pinned
 signs.  So a conjugacy class is a pair (theta0, orbit of sign vectors), and
 this module enumerates those orbits directly.
 
-Inside the enumeration a sign vector on f fixed nodes is an f-bit int, bit
-f-1-j set when the sign at the j-th fixed node is -1, so int order is the
-order of the class ids (+ before -, first node most significant).  Each
-folded generator then acts as a GF(2)-affine map, and the orbits are
-labelled over range(2**f).  InvolutionClass.orbit keeps +-1 tuples.
+A sign vector on f fixed nodes is an f-bit int, bit f-1-j set when the
+sign at the j-th fixed node is -1, so int order is the order of the class
+ids (+ before -, first node most significant).  Each folded generator then
+acts as a GF(2)-affine map, and the orbits are labelled over range(2**f)
+(weyl.orbit_partition).  Those labels are the only form of a grading orbit:
+a class holds the labels of its theta0 and the smallest member of its orbit.
 
 Quasi-splitness is decided inside the orbit: a class is quasi-split iff the
 all-minus sign vector occurs in its orbit.
@@ -22,16 +23,12 @@ all-minus sign vector occurs in its orbit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from typing import Sequence
 
 from .chevalley import pinned_signs
-from .rootdata import (
-    DiagramAutomorphism,
-    RootSystem,
-    diagram_automorphisms,
-    identity_automorphism,
-)
+from .rootdata import DiagramAutomorphism, RootSystem, diagram_automorphisms
 from .weyl import folded_generators, orbit_partition, root_index
 
 Grading = tuple[int, ...]
@@ -41,36 +38,45 @@ def grading_string(s: Grading) -> str:
     return "".join("+" if x == 1 else "-" for x in s)
 
 
-def _bit_key(s: Grading) -> tuple[int, ...]:
-    return tuple(0 if x == 1 else 1 for x in s)
+def _bits(rep: Grading, width: int) -> int | None:
+    """The int of a +-1 tuple of the given length, or None for anything else."""
+    s = 0
+    for x in rep:
+        if x != 1 and x != -1:
+            return None
+        s = 2 * s + (x == -1)
+    return s if len(rep) == width else None
 
 
 @dataclass(frozen=True)
 class InvolutionClass:
     """One conjugacy class: a diagram involution plus a grading orbit.
 
-    orbit holds sign vectors indexed by fixed_nodes in increasing node order,
-    sorted with all-plus first.  canonical_rep is orbit[0].
+    labels[s] numbers the orbit of each int sign vector s, and every class of
+    one theta0 shares them.  The class is the orbit of canonical, its
+    smallest member, and is compared and hashed without the labels.  As +-1
+    tuples indexed by fixed_nodes, canonical_rep is canonical and orbit lists
+    the members in increasing int order.
     """
 
     rs: RootSystem
     aut: DiagramAutomorphism
     fixed_nodes: tuple[int, ...]
-    orbit: tuple[Grading, ...]
+    canonical: int
+    orbit_size: int = field(compare=False)
+    labels: Sequence[int] = field(compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.rs, self.aut, self.fixed_nodes, self.orbit)))
+    def _grading(self, s: int) -> Grading:
+        return tuple(-1 if s >> j & 1 else 1 for j in range(len(self.fixed_nodes) - 1, -1, -1))
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    @property
+    @cached_property
     def canonical_rep(self) -> Grading:
-        return self.orbit[0]
+        return self._grading(self.canonical)
 
     @property
-    def orbit_size(self) -> int:
-        return len(self.orbit)
+    def orbit(self) -> tuple[Grading, ...]:
+        own = self.labels[self.canonical]
+        return tuple(self._grading(s) for s, label in enumerate(self.labels) if label == own)
 
     @property
     def is_inner(self) -> bool:
@@ -78,13 +84,13 @@ class InvolutionClass:
 
     @property
     def is_trivial(self) -> bool:
-        return self.is_inner and all(x == 1 for x in self.canonical_rep)
+        return self.is_inner and self.canonical == 0
 
     @property
     def quasi_split(self) -> bool:
-        """All-minus grading in the orbit, where it sorts last; vacuously
+        """All-minus grading, the last sign vector, in the orbit; vacuously
         true with no fixed nodes."""
-        return self.orbit[-1] == (-1,) * len(self.fixed_nodes)
+        return self.labels[-1] == self.labels[self.canonical]
 
     @property
     def class_id(self) -> str:
@@ -95,10 +101,11 @@ class InvolutionClass:
         return f"{cycles}:{g}" if g else cycles
 
     def contains(self, rep: Grading) -> bool:
-        return rep in self.orbit
+        s = _bits(rep, len(self.fixed_nodes))
+        return s is not None and self.labels[s] == self.labels[self.canonical]
 
     def sort_key(self):
-        return (not self.is_inner, self.aut.perm, _bit_key(self.canonical_rep))
+        return (not self.is_inner, self.aut.perm, self.canonical)
 
 
 def _grading_action(rs: RootSystem, aut: DiagramAutomorphism, fixed: tuple[int, ...]):
@@ -146,33 +153,32 @@ def enumerate_involution_classes(rs: RootSystem) -> tuple[InvolutionClass, ...]:
         if aut.order > 2:
             continue
         fixed = aut.fixed_nodes()
-        shifts = range(len(fixed) - 1, -1, -1)
-        for orbit in orbit_partition(len(fixed), _grading_action(rs, aut, fixed)):
-            orbit.sort()
-            gradings = tuple(tuple(-1 if s >> j & 1 else 1 for j in shifts) for s in orbit)
-            classes.append(InvolutionClass(rs, aut, fixed, gradings))
+        labels, firsts, sizes = orbit_partition(len(fixed), _grading_action(rs, aut, fixed))
+        classes.extend(InvolutionClass(rs, aut, fixed, s, size, labels) for s, size in zip(firsts, sizes))
     classes.sort(key=InvolutionClass.sort_key)
     return tuple(classes)
 
 
 def trivial_class(rs: RootSystem) -> InvolutionClass:
-    for cls in enumerate_involution_classes(rs):
-        if cls.is_trivial:
-            return cls
-    raise AssertionError("trivial class missing")
+    """The class of the identity, which sorts first."""
+    return enumerate_involution_classes(rs)[0]
 
 
 @lru_cache(maxsize=None)
-def _class_of_sign_vector(rs: RootSystem) -> dict[tuple[DiagramAutomorphism, Grading], InvolutionClass]:
-    return {(cls.aut, s): cls for cls in enumerate_involution_classes(rs) for s in cls.orbit}
+def _first_classes(rs: RootSystem) -> dict[DiagramAutomorphism, int]:
+    """The position of each theta0's first class, the orbit of all-plus.  The
+    classes of one theta0 follow it in the enumeration in label order."""
+    return {c.aut: at for at, c in enumerate(enumerate_involution_classes(rs)) if c.canonical == 0}
 
 
 def find_class(rs: RootSystem, aut: DiagramAutomorphism, rep: Grading) -> InvolutionClass:
     """The class whose orbit contains the given sign vector for this theta0."""
-    cls = _class_of_sign_vector(rs).get((aut, rep))
-    if cls is None:
+    classes = enumerate_involution_classes(rs)
+    at = _first_classes(rs).get(aut)
+    s = None if at is None else _bits(rep, len(classes[at].fixed_nodes))
+    if s is None:
         raise ValueError(f"no class of {aut.perm} contains {rep}")
-    return cls
+    return classes[at + classes[at].labels[s]]
 
 
 def conjugate_class_by(cls: InvolutionClass, tau: DiagramAutomorphism) -> InvolutionClass:
@@ -191,9 +197,7 @@ def conjugate_class_by(cls: InvolutionClass, tau: DiagramAutomorphism) -> Involu
     return find_class(cls.rs, DiagramAutomorphism(perm), rep)
 
 
-def merge_diagram_conjugates(
-    rs: RootSystem,
-) -> tuple[tuple[InvolutionClass, tuple[str, ...]], ...]:
+def merge_diagram_conjugates(rs: RootSystem) -> tuple[tuple[InvolutionClass, tuple[str, ...]], ...]:
     """Group classes that differ by an ambient diagram automorphism.
 
     Returns (representative, ids of the whole group) pairs; representatives

@@ -224,11 +224,6 @@ class Chamber:
         """w(alpha_j) in simple-root coordinates."""
         return tuple(map(self.rs.roots.__getitem__, self.walls))
 
-    def extend(self, i: int) -> "Chamber":
-        """Right multiplication by s_i: w -> w s_i."""
-        perm = self.ri.reflections[i - 1]
-        return Chamber(self.ri, self.word + bytes((i,)), bytes(map(self.img.__getitem__, perm)))
-
     def w_positive_roots(self) -> frozenset[Vector]:
         return frozenset(map(self.rs.roots.__getitem__, self.img[: self.ri.npos]))
 
@@ -322,20 +317,23 @@ def random_chambers(rs: RootSystem, count: int, seed: int) -> list[Chamber]:
     return out
 
 
-def orbit_partition(bits: int, generators: Sequence[tuple[int, list[tuple[int, int]]]]) -> list[list[int]]:
+def orbit_partition(
+    bits: int, generators: Sequence[tuple[int, list[tuple[int, int]]]]
+) -> tuple[tuple[int, ...], list[int], list[int]]:
     """Orbits on the bit vectors range(2**bits) of GF(2)-affine maps.
 
     A generator (flip, columns) sends s to flip ^ A s, where A is the
     identity plus the listed columns: s ^ delta for each (bit, delta) pair
-    with s & bit.  Orbits come in order of their smallest member, which is
-    listed first.
+    with s & bit.  Returns (labels, firsts, sizes): orbit n has smallest
+    member firsts[n] and sizes[n] members, orbits are numbered in order of
+    their smallest member, and labels[s] is the number of the orbit of s.
     """
-    seen = bytearray(1 << bits)
-    orbits = []
+    labels = [-1] * (1 << bits)
+    firsts, sizes = [], []
     for start in range(1 << bits):
-        if seen[start]:
+        if labels[start] >= 0:
             continue
-        seen[start] = 1
+        label = labels[start] = len(firsts)
         orbit = [start]
         for s in orbit:
             for flip, columns in generators:
@@ -343,11 +341,12 @@ def orbit_partition(bits: int, generators: Sequence[tuple[int, list[tuple[int, i
                 for bit, delta in columns:
                     if s & bit:
                         t ^= delta
-                if not seen[t]:
-                    seen[t] = 1
+                if labels[t] < 0:
+                    labels[t] = label
                     orbit.append(t)
-        orbits.append(orbit)
-    return orbits
+        firsts.append(start)
+        sizes.append(len(orbit))
+    return tuple(labels), firsts, sizes
 
 
 def folded_generators(rs: RootSystem, perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:

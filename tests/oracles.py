@@ -17,7 +17,7 @@ import numpy as np
 
 from quasisplit.chevalley import pinned_signs, structure_constants
 from quasisplit.rootdata import RootSystem, Vector, format_subsystem, identify_subsystem
-from quasisplit.weyl import folded_generators, reflect
+from quasisplit.weyl import Chamber, folded_generators, reflect
 
 
 def roots_by_reflection_closure(rs: RootSystem) -> frozenset[Vector]:
@@ -158,6 +158,13 @@ class VectorChamber:
     def w_positive_roots(self) -> frozenset[Vector]:
         """Roots beta with w^{-1} beta positive."""
         return frozenset(v for v in self.rs.roots if sum(self.act_inv(v)) > 0)
+
+
+def extend_chamber(ch: Chamber, i: int) -> Chamber:
+    """Right multiplication by s_i: w -> w s_i, read through the reflection
+    permutation rather than the left-multiplication tables."""
+    perm = ch.ri.reflections[i - 1]
+    return Chamber(ch.ri, ch.word + bytes((i,)), bytes(map(ch.img.__getitem__, perm)))
 
 
 def randrange_words(rs: RootSystem, count: int, seed: int) -> list[tuple[int, ...]]:

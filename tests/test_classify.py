@@ -210,18 +210,20 @@ def test_unipotent_fixed_dim_a3_example():
     assert admits_generic_character(cls, (-1, -1, -1), ch)
 
 
-@pytest.mark.parametrize("type_str", ["A2", "A3", "A4", "B2", "B3", "C3", "G2", "D4"])
+@pytest.mark.parametrize("type_str", simple_types_up_to(6))
 def test_quasi_split_iff_zero_image_witness(type_str):
     # scanning (canonical rep, chamber) pairs is exhaustive up to simultaneous
-    # conjugation, so the witness search is a complete quasi-splitness test
+    # conjugation, so the witness search is a complete quasi-splitness test;
+    # the zero-image form is scanned on the small types only, for time
     rs = build_root_system(type_str)
     chambers = all_chambers(rs)
     for cls in enumerate_involution_classes(rs):
         rep = cls.canonical_rep
-        witness = any(unipotent_image_dim(cls, rep, ch) == 0 for ch in chambers)
         generic = any(admits_generic_character(cls, rep, ch) for ch in chambers)
-        assert witness == cls.quasi_split
         assert generic == cls.quasi_split
+        if type_str in ("A2", "A3", "A4", "B2", "B3", "C3", "G2", "D4"):
+            witness = any(unipotent_image_dim(cls, rep, ch) == 0 for ch in chambers)
+            assert witness == cls.quasi_split
 
 
 def test_generic_character_differs_from_zero_image_on_outer_class():

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from quasisplit.classify import indexed_grading
 from quasisplit.involution import (
     InvolutionClass,
     conjugate_class_by,
@@ -36,7 +37,7 @@ def test_class_counts(type_str, count):
     assert len(enumerate_involution_classes(build_root_system(type_str))) == count
 
 
-@pytest.mark.parametrize("type_str", sorted(CLASS_COUNTS))
+@pytest.mark.parametrize("type_str", simple_types_up_to(8))
 def test_orbit_sizes_partition_sign_vectors(type_str):
     rs = build_root_system(type_str)
     classes = enumerate_involution_classes(rs)
@@ -48,6 +49,36 @@ def test_orbit_sizes_partition_sign_vectors(type_str):
         assert total == 2 ** len(aut.fixed_nodes())
         reps = [s for c in group for s in c.orbit]
         assert len(reps) == len(set(reps))
+        labels = group[0].labels
+        assert [labels.count(labels[c.canonical]) for c in group] == [c.orbit_size for c in group]
+
+
+@pytest.mark.parametrize("type_str", ["A3", "D4"])
+def test_reps_that_are_not_sign_vectors_of_the_class_are_refused(type_str):
+    # entries other than +-1, wrong lengths, and the sign vectors of the
+    # other theta0s with another number of fixed nodes
+    rs = build_root_system(type_str)
+    classes = enumerate_involution_classes(rs)
+    for aut in {c.aut for c in classes}:
+        f = len(aut.fixed_nodes())
+        plus = (1,) * (f - 1)
+        reps = [(0, *plus), (2, *plus), (*plus, -2), plus, (1, 1, *plus), (-1, -1, *plus)]
+        reps += [c.canonical_rep for c in classes if len(c.fixed_nodes) != f]
+        for rep in reps:
+            with pytest.raises(ValueError):
+                find_class(rs, aut, rep)
+            for cls in classes:
+                if cls.aut == aut:
+                    assert not cls.contains(rep)
+                    with pytest.raises(ValueError):
+                        indexed_grading(cls, rep)
+
+
+def test_find_class_refuses_a_theta0_that_is_not_involutive():
+    rs = build_root_system("D4")
+    triality = [t for t in diagram_automorphisms(rs) if t.order == 3][0]
+    with pytest.raises(ValueError):
+        find_class(rs, triality, (1, 1))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -78,8 +109,10 @@ def test_class_ids_a2_outer():
 
 def test_equal_classes_hash_alike():
     for cls in enumerate_involution_classes(build_root_system("A3")):
-        rebuilt = InvolutionClass(build_root_system((("A", 3),)), cls.aut, cls.fixed_nodes, cls.orbit)
+        rs = build_root_system((("A", 3),))
+        rebuilt = InvolutionClass(rs, cls.aut, cls.fixed_nodes, cls.canonical, cls.orbit_size, list(cls.labels))
         assert rebuilt is not cls and rebuilt == cls and hash(rebuilt) == hash(cls)
+        assert rebuilt.orbit == cls.orbit and rebuilt.quasi_split == cls.quasi_split
 
 
 def test_trivial_class():

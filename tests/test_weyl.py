@@ -23,7 +23,7 @@ from quasisplit.weyl import (
     root_index,
 )
 
-from oracles import VectorChamber, on_root, randrange_words
+from oracles import VectorChamber, extend_chamber, on_root, randrange_words
 
 CHAMBER_COUNTS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "G2": 12, "D4": 192, "A1+A1": 4}
 
@@ -57,7 +57,7 @@ def test_identity_chamber():
     assert ch.w_positive_roots() == frozenset(rs.positive_roots)
     assert ch.img == bytes(range(len(rs.roots)))
     assert ch.images == rs.simple_roots
-    assert repr(ch) == "Chamber(word=())" and repr(ch.extend(2)) == "Chamber(word=(2,))"
+    assert repr(ch) == "Chamber(word=())" and repr(extend_chamber(ch, 2)) == "Chamber(word=(2,))"
     oracle = VectorChamber(rs, ch.word)
     for v in rs.roots:
         assert oracle.act(v) == v and oracle.act_inv(v) == v
@@ -121,7 +121,7 @@ def test_chamber_matches_word_action(type_str, raw_word):
     word = tuple(1 + (i - 1) % rs.rank for i in raw_word)
     ch = identity_chamber(rs)
     for i in word:
-        ch = ch.extend(i)
+        ch = extend_chamber(ch, i)
     oracle = VectorChamber(rs, word)
     for k, v in enumerate(rs.roots):
         assert oracle.act(v) == _act_word(rs, word, v)
@@ -173,7 +173,7 @@ def test_random_chambers_draw_randrange_letters(type_str, seed, count):
     # the image composed from the left is the product of the word
     ch = identity_chamber(rs)
     for i in chambers[0].word:
-        ch = ch.extend(i)
+        ch = extend_chamber(ch, i)
     assert chambers[0].img == ch.img
 
 
@@ -224,13 +224,22 @@ def test_random_chambers_of_rank_zero():
         random_chambers(rs, 1, 0)
 
 
+def _orbits(labels, firsts, sizes):
+    """The orbits the labels name, each in increasing order, checked against
+    their smallest members and sizes."""
+    orbits = [[s for s, label in enumerate(labels) if label == n] for n in range(len(firsts))]
+    assert [o[0] for o in orbits] == firsts and list(map(len, orbits)) == sizes
+    return orbits
+
+
 def test_orbit_partition_swap():
     # sign vectors as 2-bit ints: swapping the two coordinates, then also
-    # flipping both; orbits come in order of their smallest member, listed first
+    # flipping both; orbits are numbered in order of their smallest member
     swap = (0, [(0b10, 0b11), (0b01, 0b11)])
-    assert orbit_partition(2, [swap]) == [[0], [1, 2], [3]]
-    assert orbit_partition(2, [swap, (0b11, [])]) == [[0, 3], [1, 2]]
-    assert orbit_partition(0, []) == [[0]]
+    assert orbit_partition(2, [swap]) == ((0, 1, 1, 2), [0, 1, 3], [1, 2, 1])
+    assert _orbits(*orbit_partition(2, [swap])) == [[0], [1, 2], [3]]
+    assert _orbits(*orbit_partition(2, [swap, (0b11, [])])) == [[0, 3], [1, 2]]
+    assert _orbits(*orbit_partition(0, [])) == [[0]]
 
 
 def test_all_chambers_refuses_large_groups():
@@ -284,7 +293,7 @@ def _folded_subgroup_images(rs, words):
             for word in words:
                 ext = ch
                 for i in word:
-                    ext = ext.extend(i)
+                    ext = extend_chamber(ext, i)
                 if ext.images not in seen:
                     seen.add(ext.images)
                     nxt.append(ext)
