@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .chevalley import pinned_signs
 from .involution import Grading, InvolutionClass, grading_string
@@ -65,15 +65,28 @@ class IndexedGrading:
         image) or by a complex wall whose partner is w-positive but interior
         (the wall space again lies in the image).  A complex wall pair only
         forces the character to vanish on a diagonal, which generic
-        characters can dodge.
+        characters can dodge.  The first block depends on the grading
+        (compact_wall), the second only on theta0 (complex_wall_blocks).
         """
-        walls = chamber.wall_mask
-        if walls & self.compact:
+        wall_mask = chamber.wall_mask
+        if self.compact_wall(wall_mask):
             return False
         if self.cls.is_inner:  # theta0 fixes every wall
             return True
-        partners = self.theta_mask(chamber.walls) & ~walls
-        return not (partners and partners & chamber.positive_mask)
+        return not self.complex_wall_blocks(chamber.walls, wall_mask, chamber.positive_mask)
+
+    def compact_wall(self, wall_mask: int) -> bool:
+        """Whether some wall is a compact imaginary root."""
+        return bool(wall_mask & self.compact)
+
+    def complex_wall_blocks(self, walls: Sequence[int], wall_mask: int, positive_mask: int) -> bool:
+        """Whether the theta0-partner of some wall is w-positive but not a wall.
+
+        walls, wall_mask and positive_mask are a chamber's walls, wall mask
+        and positive mask.  Only theta is read, so every grading of one
+        theta0 gives the same answer; it is False when theta0 is inner.
+        """
+        return bool(self.theta_mask(walls) & positive_mask & ~wall_mask)
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add, mul
 from typing import Iterable, Sequence
 
@@ -338,7 +338,7 @@ class DiagramAutomorphism:
     def apply(self, i: int) -> int:
         return self.perm[i - 1]
 
-    @property
+    @cached_property
     def is_identity(self) -> bool:
         return all(self.perm[i] == i + 1 for i in range(len(self.perm)))
 

@@ -14,8 +14,12 @@ imaginary-signs   at every (class, chamber) pair where a wall-generic
                   imaginary subsystem all carry sign -1.
 support           every root has connected support in the diagram.
 
-The imaginary-signs check accepts a fault-injection switch that flips one
-sign on purpose; a healthy detector must then produce at least one violation.
+The imaginary-signs check sweeps one chamber at a time.  It reads the
+chamber's walls and masks once, decides the complex-wall block of each
+outer theta0 once, and leaves one compact-wall test per class; the w-simple
+imaginary roots of a surviving inner pair are the walls themselves.  It
+accepts a fault-injection switch that flips one sign on purpose; a healthy
+detector must then produce at least one violation.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .weyl import (
     identity_chamber,
     random_chambers,
     reflect,
+    root_index,
 )
 
 EXPECTED_EXCEPTIONAL_INNER = {"G2": 1, "F4": 2, "E6": 2, "E7": 3, "E8": 2}
@@ -42,11 +47,12 @@ DEFAULT_SAMPLES = 2000
 DEFAULT_EXHAUSTIVE_CUTOFF = 2000
 # Largest --max-rank.  At default samples all checks take about 0.8 s at
 # rank 6 on a 2-vCPU VM and 1.1 s at rank 7, but at the --samples cap the
-# imaginary-signs sweep takes 7.1-7.6 s and 91 MB at rank 6 against
-# 13.4-13.9 s and 104 MB at rank 7, which would double the slowest run.
+# imaginary-signs sweep takes 7.1-7.2 s and 90 MB at rank 6 against
+# 14.1-16.3 s and 102 MB at rank 7, which would double the slowest run;
+# random_chambers takes about 6.3 s of the rank-6 run.
 MAX_VERIFY_RANK = 6
-# Largest --samples: the sampled sweep at --max-rank 6 takes about 6 s at
-# 20 000 samples on a 2-vCPU VM, 7.6 s at 25 000 and 10 s at 30 000.
+# Largest --samples: the sampled sweep at --max-rank 6 takes about 4.4 s at
+# 20 000 samples on a 2-vCPU VM, 7.1 s at 25 000 and 8.8 s at 30 000.
 MAX_VERIFY_SAMPLES = 25_000
 
 
@@ -161,7 +167,19 @@ def check_imaginary_signs(
     inject_fault: bool = False,
 ) -> CheckResult:
     """Sweep (class, chamber) pairs; where a generic character survives, the
-    w-simple imaginary roots must all be noncompact."""
+    w-simple imaginary roots must all be noncompact.
+
+    Chambers come first, then the classes grouped by theta0, in enumeration
+    order.  Per chamber the walls and the wall mask are read once, and the
+    positive mask only when an outer theta0 is in scope.  Per (chamber,
+    theta0) the complex-wall block (IndexedGrading.complex_wall_blocks) is
+    decided once, since it does not depend on the grading; per class what is
+    left is the compact-wall test.  For a surviving inner pair the w-simple
+    imaginary roots are the walls in index order: w(positive roots) has
+    simple system w(simple roots).  For a surviving outer pair they are
+    RootIndex.simples of the w-positive imaginary roots, kept per type by
+    that mask.
+    """
     violations = []
     scanned = 0
     fault_pending = inject_fault
@@ -171,22 +189,43 @@ def check_imaginary_signs(
         gradings = [indexed_grading(c, c.canonical_rep) for c in enumerate_involution_classes(rs)]
         chambers, mode = _chambers_for(rs, samples, seed, exhaustive)
         details.append(f"{type_str}: {mode}, {len(gradings)} classes")
+        by_theta0 = [
+            (aut.is_identity, list(group)) for aut, group in itertools.groupby(gradings, lambda g: g.cls.aut)
+        ]
+        has_outer = not all(inner for inner, _ in by_theta0)
+        outer_simples: dict[int, list[int]] = {}
+        ri = root_index(rs)
         for ch in chambers:
-            for g in gradings:
-                if not g.admits_generic(ch):
+            # read from the image, not through Chamber.wall_mask and
+            # positive_mask, which would keep both masks on every chamber
+            walls = ch.walls
+            wall_mask = ri.mask(walls)
+            positive_mask = ri.mask(ch.img[: ri.npos]) if has_outer else 0
+            inner_simples = sorted(walls)
+            for inner, group in by_theta0:
+                if not inner and group[0].complex_wall_blocks(walls, wall_mask, positive_mask):
                     continue
-                scanned += 1
-                simples = g.ri.simples(g.imaginary & ch.positive_mask)
-                for i, k in enumerate(simples):
-                    sign = g.signs[k]
-                    if fault_pending and i == 0:
-                        sign = -sign
-                        fault_pending = False
-                    if sign != -1:
-                        violations.append(
-                            f"{type_str} class {g.cls.class_id} word {tuple(ch.word)}"
-                            f" root {rs.roots[k]} sign {sign}"
-                        )
+                for g in group:
+                    if g.compact_wall(wall_mask):
+                        continue
+                    scanned += 1
+                    if inner:
+                        simples = inner_simples
+                    else:
+                        key = g.imaginary & positive_mask
+                        simples = outer_simples.get(key)
+                        if simples is None:
+                            simples = outer_simples[key] = ri.simples(key)
+                    for i, k in enumerate(simples):
+                        sign = g.signs[k]
+                        if fault_pending and i == 0:
+                            sign = -sign
+                            fault_pending = False
+                        if sign != -1:
+                            violations.append(
+                                f"{type_str} class {g.cls.class_id} word {tuple(ch.word)}"
+                                f" root {rs.roots[k]} sign {sign}"
+                            )
     details.append(f"{scanned} surviving (class, chamber) pairs checked")
     if inject_fault:
         passed = len(violations) >= 1

@@ -15,8 +15,10 @@ from operator import sub
 
 import numpy as np
 
+from quasisplit import verify
 from quasisplit.chevalley import pinned_signs, structure_constants
-from quasisplit.rootdata import RootSystem, Vector, format_subsystem, identify_subsystem
+from quasisplit.involution import enumerate_involution_classes
+from quasisplit.rootdata import RootSystem, Vector, build_root_system, format_subsystem, identify_subsystem
 from quasisplit.weyl import Chamber, folded_generators, reflect
 
 
@@ -165,6 +167,49 @@ def extend_chamber(ch: Chamber, i: int) -> Chamber:
     permutation rather than the left-multiplication tables."""
     perm = ch.ri.reflections[i - 1]
     return Chamber(ch.ri, ch.word + bytes((i,)), bytes(map(ch.img.__getitem__, perm)))
+
+
+def imaginary_signs_by_pairs(
+    max_rank: int, samples: int = 2000, seed: int = 0, exhaustive: bool = False, inject_fault: bool = False
+) -> tuple[bool, list[str]]:
+    """(passed, details) of verify.check_imaginary_signs, pair by pair.
+
+    Each (chamber, class) pair asks IndexedGrading.admits_generic on its own
+    and reads the w-simple imaginary roots with RootIndex.simples, for inner
+    classes too.  The scope, the chambers and the gradings are read through
+    the verify module, so a test that patches them there patches both.
+    """
+    violations = []
+    scanned = 0
+    fault_pending = inject_fault
+    details = []
+    for type_str in verify.simple_types_up_to(max_rank):
+        rs = build_root_system(type_str)
+        gradings = [verify.indexed_grading(c, c.canonical_rep) for c in enumerate_involution_classes(rs)]
+        chambers, mode = verify._chambers_for(rs, samples, seed, exhaustive)
+        details.append(f"{type_str}: {mode}, {len(gradings)} classes")
+        for ch in chambers:
+            for g in gradings:
+                if not g.admits_generic(ch):
+                    continue
+                scanned += 1
+                simples = g.ri.simples(g.imaginary & ch.positive_mask)
+                for i, k in enumerate(simples):
+                    sign = g.signs[k]
+                    if fault_pending and i == 0:
+                        sign = -sign
+                        fault_pending = False
+                    if sign != -1:
+                        violations.append(
+                            f"{type_str} class {g.cls.class_id} word {tuple(ch.word)}"
+                            f" root {rs.roots[k]} sign {sign}"
+                        )
+    details.append(f"{scanned} surviving (class, chamber) pairs checked")
+    if inject_fault:
+        details.append(f"fault injection produced {len(violations)} violation(s)")
+        return len(violations) >= 1, details
+    details.extend(violations[:20])
+    return scanned > 0 and not violations, details
 
 
 def randrange_words(rs: RootSystem, count: int, seed: int) -> list[tuple[int, ...]]:

@@ -226,6 +226,22 @@ def test_quasi_split_iff_zero_image_witness(type_str):
             assert witness == cls.quasi_split
 
 
+@pytest.mark.parametrize("type_str", ["A3", "D4"])
+def test_complex_wall_block_is_shared_by_the_gradings_of_a_theta0(type_str):
+    # the imaginary-signs sweep decides the complex-wall block once per
+    # (chamber, theta0); it must not depend on the grading, and an inner
+    # theta0 never blocks
+    gradings = [indexed_grading(c, c.canonical_rep) for c in _classes(type_str)]
+    for ch in all_chambers(build_root_system(type_str)):
+        masks = (ch.walls, ch.wall_mask, ch.positive_mask)
+        blocks = {}
+        for g in gradings:
+            blocks.setdefault(g.cls.aut, set()).add(g.complex_wall_blocks(*masks))
+            assert g.admits_generic(ch) == (not g.compact_wall(ch.wall_mask) and not g.complex_wall_blocks(*masks))
+        assert all(len(answers) == 1 for answers in blocks.values())
+        assert all(answers == {False} for aut, answers in blocks.items() if aut.is_identity)
+
+
 def test_generic_character_differs_from_zero_image_on_outer_class():
     # at the identity chamber the A2 flip has complex walls alpha_1, alpha_2
     # swapped by theta0: the image is one diagonal line, yet a generic

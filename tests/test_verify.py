@@ -16,6 +16,8 @@ from quasisplit.verify import (
 )
 from quasisplit.weyl import all_chambers
 
+from oracles import imaginary_signs_by_pairs
+
 
 def test_simple_types_up_to():
     assert simple_types_up_to(2) == ["A1", "A2", "B2", "G2"]
@@ -124,3 +126,38 @@ def test_violation_lines_print_words_as_tuples(monkeypatch):
         "A2 class +- word (2, 2, 1, 2, 2, 2, 2, 2, 2, 1, 1, 2) root (0, 1) sign 1",
         "A2 class +- word (2, 2, 1, 2, 2, 2, 2, 2, 2, 1, 1, 2) root (-1, -1) sign 1",
     ]
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        *(dict(max_rank=6, samples=150, seed=seed) for seed in range(4)),
+        dict(max_rank=5, exhaustive=True),
+        dict(max_rank=3, inject_fault=True),
+    ],
+    ids=["sampled-0", "sampled-1", "sampled-2", "sampled-3", "exhaustive", "fault"],
+)
+def test_sweep_matches_the_pair_by_pair_oracle(kwargs):
+    # the chamber-first sweep shares masks, the complex-wall block and the
+    # w-simple roots; asking each pair on its own must give the same report
+    result = check_imaginary_signs(**kwargs)
+    assert (result.passed, result.details) == imaginary_signs_by_pairs(**kwargs)
+
+
+def test_outer_class_fault_is_caught(monkeypatch):
+    # every imaginary root of the quasi-split outer class (13):- of A3 reads
+    # sign +1, with its compact mask, and so its surviving pairs, unchanged
+    def flipped(cls, rep):
+        g = IndexedGrading(cls, rep)
+        if cls.class_id == "(13):-":
+            g.signs = tuple(abs(s) for s in g.signs)
+        return g
+
+    monkeypatch.setattr(verify, "indexed_grading", flipped)
+    monkeypatch.setattr(verify, "simple_types_up_to", lambda max_rank: ["A3"])
+    result = check_imaginary_signs(max_rank=3)
+    assert not result.passed
+    assert result.details[:2] == ["A3: exhaustive (24 chambers), 5 classes", "24 surviving (class, chamber) pairs checked"]
+    assert any(line.startswith("A3 class (13):- word ") for line in result.details[2:])
+    # the roots named are the w-simple imaginary roots of each chamber
+    assert (result.passed, result.details) == imaginary_signs_by_pairs(max_rank=3)

@@ -267,6 +267,15 @@ def test_root_index_tables(type_str):
         assert {ri.bits[min(p)] | ri.bits[max(p)] for p in pairs} == set(ri.sums[k])
 
 
+@pytest.mark.parametrize("type_str", ["A3", "B3", "C3", "D4", "G2", "F4"])
+def test_simples_of_positive_mask_are_the_walls(type_str):
+    # w(positive roots) has simple system w(simple roots), which the
+    # imaginary-signs sweep reads for inner classes in place of simples()
+    ri = root_index(build_root_system(type_str))
+    for ch in all_chambers(ri.rs):
+        assert ri.simples(ch.positive_mask) == sorted(ch.walls)
+
+
 def test_folded_generators_shapes():
     a2 = build_root_system("A2")
     assert folded_generators(a2, (2, 1)) == ((1, 2, 1),)
