@@ -65,19 +65,15 @@ class IndexedGrading:
         image) or by a complex wall whose partner is w-positive but interior
         (the wall space again lies in the image).  A complex wall pair only
         forces the character to vanish on a diagonal, which generic
-        characters can dodge.  The first block depends on the grading
-        (compact_wall), the second only on theta0 (complex_wall_blocks).
+        characters can dodge.  The first block depends on the grading, the
+        second only on theta0 (complex_wall_blocks).
         """
         wall_mask = chamber.wall_mask
-        if self.compact_wall(wall_mask):
+        if wall_mask & self.compact:
             return False
         if self.cls.is_inner:  # theta0 fixes every wall
             return True
         return not self.complex_wall_blocks(chamber.walls, wall_mask, chamber.positive_mask)
-
-    def compact_wall(self, wall_mask: int) -> bool:
-        """Whether some wall is a compact imaginary root."""
-        return bool(wall_mask & self.compact)
 
     def complex_wall_blocks(self, walls: Sequence[int], wall_mask: int, positive_mask: int) -> bool:
         """Whether the theta0-partner of some wall is w-positive but not a wall.

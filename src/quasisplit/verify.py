@@ -47,12 +47,12 @@ DEFAULT_SAMPLES = 2000
 DEFAULT_EXHAUSTIVE_CUTOFF = 2000
 # Largest --max-rank.  At default samples all checks take about 0.8 s at
 # rank 6 on a 2-vCPU VM and 1.1 s at rank 7, but at the --samples cap the
-# imaginary-signs sweep takes 7.1-7.2 s and 90 MB at rank 6 against
-# 14.1-16.3 s and 102 MB at rank 7, which would double the slowest run;
-# random_chambers takes about 6.3 s of the rank-6 run.
+# imaginary-signs sweep takes 6.2-7.0 s and 89 MB at rank 6 against
+# 15.4-16.0 s and 101 MB at rank 7, which would double the slowest run;
+# random_chambers takes most of the rank-6 run.
 MAX_VERIFY_RANK = 6
 # Largest --samples: the sampled sweep at --max-rank 6 takes about 4.4 s at
-# 20 000 samples on a 2-vCPU VM, 7.1 s at 25 000 and 8.8 s at 30 000.
+# 20 000 samples on a 2-vCPU VM, 6.2-7.0 s at 25 000 and 8.8 s at 30 000.
 MAX_VERIFY_SAMPLES = 25_000
 
 
@@ -196,17 +196,15 @@ def check_imaginary_signs(
         outer_simples: dict[int, list[int]] = {}
         ri = root_index(rs)
         for ch in chambers:
-            # read from the image, not through Chamber.wall_mask and
-            # positive_mask, which would keep both masks on every chamber
             walls = ch.walls
-            wall_mask = ri.mask(walls)
-            positive_mask = ri.mask(ch.img[: ri.npos]) if has_outer else 0
+            wall_mask = ch.wall_mask
+            positive_mask = ch.positive_mask if has_outer else 0
             inner_simples = sorted(walls)
             for inner, group in by_theta0:
                 if not inner and group[0].complex_wall_blocks(walls, wall_mask, positive_mask):
                     continue
                 for g in group:
-                    if g.compact_wall(wall_mask):
+                    if wall_mask & g.compact:
                         continue
                     scanned += 1
                     if inner:

@@ -186,13 +186,12 @@ class Chamber:
     reduced-or-not expression, used only for bookkeeping.
     """
 
-    __slots__ = ("ri", "word", "img", "_wall_mask", "_positive_mask")
+    __slots__ = ("ri", "word", "img")
 
     def __init__(self, ri: RootIndex, word: bytes, img: bytes):
         self.ri = ri
         self.word = word
         self.img = img
-        self._wall_mask = self._positive_mask = None
 
     def __repr__(self) -> str:
         return f"Chamber(word={tuple(self.word)})"
@@ -208,16 +207,12 @@ class Chamber:
 
     @property
     def wall_mask(self) -> int:
-        if self._wall_mask is None:
-            self._wall_mask = self.ri.mask(self.walls)
-        return self._wall_mask
+        return self.ri.mask(self.walls)
 
     @property
     def positive_mask(self) -> int:
         """Bitmask of w(positive roots), the roots beta with w^{-1} beta > 0."""
-        if self._positive_mask is None:
-            self._positive_mask = self.ri.mask(self.img[: self.ri.npos])
-        return self._positive_mask
+        return self.ri.mask(self.img[: self.ri.npos])
 
     @property
     def images(self) -> tuple[Vector, ...]:
