@@ -181,6 +181,35 @@ def find_class(rs: RootSystem, aut: DiagramAutomorphism, rep: Grading) -> Involu
     return classes[at + classes[at].labels[s]]
 
 
+def _transport(rs: RootSystem, aut: DiagramAutomorphism, tau: DiagramAutomorphism) -> tuple[int, tuple[int, ...]]:
+    """How tau moves the classes of theta0 = aut: (at, shifts).
+
+    at is the position of the first class of tau theta0 tau^{-1} in the
+    enumeration.  The fixed nodes of theta0 map onto those of the conjugate
+    through tau, so a sign vector moves as a bit permutation: bit j goes to
+    bit shifts[j].
+    """
+    t = tau.perm
+    perm = [0] * len(t)
+    for i, j in zip(t, (t[j - 1] for j in aut.perm)):
+        perm[i - 1] = j
+    at = _first_classes(rs)[DiagramAutomorphism(tuple(perm))]
+    target = enumerate_involution_classes(rs)[at].fixed_nodes
+    top = len(target) - 1
+    bit_of = {node: top - j for j, node in enumerate(target)}
+    return at, tuple(bit_of[t[node - 1]] for node in reversed(aut.fixed_nodes()))
+
+
+def _moved(classes: Sequence[InvolutionClass], transport: tuple[int, tuple[int, ...]], s: int) -> int:
+    """The position of the class of the sign vector s moved by a transport."""
+    at, shifts = transport
+    image = 0
+    for shift in shifts:
+        image |= (s & 1) << shift
+        s >>= 1
+    return at + classes[at].labels[image]
+
+
 def conjugate_class_by(cls: InvolutionClass, tau: DiagramAutomorphism) -> InvolutionClass:
     """Transport a class through an ambient diagram automorphism.
 
@@ -190,11 +219,8 @@ def conjugate_class_by(cls: InvolutionClass, tau: DiagramAutomorphism) -> Involu
     coefficients twice, once in and once out.  The class of the image of
     one member of the orbit is the class of the image.
     """
-    conjugated = {tau.apply(i): tau.apply(j) for i, j in enumerate(cls.aut.perm, 1)}
-    perm = tuple(conjugated[i] for i in range(1, len(conjugated) + 1))
-    signs = {tau.apply(node): sign for node, sign in zip(cls.fixed_nodes, cls.canonical_rep)}
-    rep = tuple(signs[node] for node in sorted(signs))
-    return find_class(cls.rs, DiagramAutomorphism(perm), rep)
+    classes = enumerate_involution_classes(cls.rs)
+    return classes[_moved(classes, _transport(cls.rs, cls.aut, tau), cls.canonical)]
 
 
 def merge_diagram_conjugates(rs: RootSystem) -> tuple[tuple[InvolutionClass, tuple[str, ...]], ...]:
@@ -204,15 +230,22 @@ def merge_diagram_conjugates(rs: RootSystem) -> tuple[tuple[InvolutionClass, tup
     keep the enumeration order.  With triality present this fuses classes
     whose fixed subgroups are abstractly isomorphic but sit on different
     nodes.  The automorphisms form a group, so one pass over them reaches
-    every conjugate of a class.
+    every conjugate of a class.  The transports are built once per theta0,
+    whose classes are contiguous, and classes are handled by their
+    positions, which follow sort_key.
     """
+    classes = enumerate_involution_classes(rs)
+    taus = diagram_automorphisms(rs)
+    aut, moves = None, []
     merged: list[tuple[InvolutionClass, tuple[str, ...]]] = []
-    seen: set[InvolutionClass] = set()
-    for cls in enumerate_involution_classes(rs):
-        if cls in seen:
+    seen: set[int] = set()
+    for n, cls in enumerate(classes):
+        if n in seen:
             continue
-        group = {conjugate_class_by(cls, tau) for tau in diagram_automorphisms(rs)}
-        seen |= group
-        ordered = sorted(group, key=InvolutionClass.sort_key)
-        merged.append((ordered[0], tuple(c.class_id for c in ordered)))
+        if cls.aut != aut:
+            aut = cls.aut
+            moves = [_transport(rs, aut, tau) for tau in taus]
+        group = sorted({_moved(classes, move, cls.canonical) for move in moves})
+        seen.update(group)
+        merged.append((classes[group[0]], tuple(classes[m].class_id for m in group)))
     return tuple(merged)

@@ -179,6 +179,13 @@ def check_imaginary_signs(
     simple system w(simple roots).  For a surviving outer pair they are
     RootIndex.simples of the w-positive imaginary roots, kept per type by
     that mask.
+
+    For an inner pair the sign test only restates that
+    IndexedGrading.compact agrees with signs: compact is built from signs,
+    every inner root is imaginary, and the pair survives only when no wall
+    is compact, so every wall carries sign -1.  The outer pairs, whose
+    w-simple imaginary roots come from RootIndex.simples, carry the
+    independent content.
     """
     violations = []
     scanned = 0
@@ -195,10 +202,12 @@ def check_imaginary_signs(
         has_outer = not all(inner for inner, _ in by_theta0)
         outer_simples: dict[int, list[int]] = {}
         ri = root_index(rs)
+        walls_of, bit, npos = ri.walls_of, ri.bits.__getitem__, ri.npos
         for ch in chambers:
-            walls = ch.walls
-            wall_mask = ch.wall_mask
-            positive_mask = ch.positive_mask if has_outer else 0
+            img = ch.img
+            walls = walls_of(img)
+            wall_mask = sum(map(bit, walls))
+            positive_mask = sum(map(bit, img[:npos])) if has_outer else 0
             inner_simples = sorted(walls)
             for inner, group in by_theta0:
                 if not inner and group[0].complex_wall_blocks(walls, wall_mask, positive_mask):

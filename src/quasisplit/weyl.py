@@ -6,22 +6,28 @@ becomes a permutation of those numbers, built by key arithmetic.  A group
 element w is a chamber: the bytes of the indices of w(root_k) over all
 roots k.  The generators build chambers by left multiplication: the image
 of s_i w is the image of w passed through a 256-byte table of s_i
-(bytes.translate), so chambers exist for at most 256 roots.  The sets a
+(bytes.translate), so chambers exist for at most 256 roots.  The whole
+group is walked as a product of parabolic coset representatives: with
+W_k = <s_1, ..., s_k>, every element of W_k is u v for one minimal left
+coset representative u of W_{k-1} in W_k and one v in W_{k-1}, and the
+image of u v is the image of v passed through the image of u.  The sets a
 chamber decides, its walls and its w-positive roots, are int bitmasks.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
+from itertools import chain, repeat
 from math import isqrt
 from operator import itemgetter, neg
 from random import Random
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .rootdata import KEY_COEFFICIENT_BOUND, RootSystem, Vector, key_units, root_key
 
-# Exhaustive chamber enumeration is kept under this bound, the order of W(E6),
-# the largest group a sweep enumerates; larger groups are sampled.
+# all_chambers keeps every chamber of a group in memory, so it is kept under
+# this bound, the order of W(E6), the largest group a sweep enumerates;
+# larger groups are sampled.  weyl_images streams a group of any order.
 EXHAUSTIVE_WEYL_BOUND = 51_840
 # A byte table numbers at most 256 roots: every simple type of rank <= 11
 # and E8 (240 roots) fit, D12 (264 roots) does not.
@@ -183,15 +189,23 @@ class Chamber:
     img[k] is the index of w(root_k), held as bytes.  The walls w(alpha_j)
     are the entries at the simple indices, and the w-positive roots
     w(positive roots) are the entries img[:npos].  word is the bytes of one
-    reduced-or-not expression, used only for bookkeeping.
+    expression s_{word[0]} ... s_{word[-1]} of w, used only for bookkeeping:
+    a sampled chamber keeps its drawn word, and a chamber made with word None
+    derives its lexicographically first reduced word on first read.
     """
 
-    __slots__ = ("ri", "word", "img")
+    __slots__ = ("ri", "_word", "img")
 
-    def __init__(self, ri: RootIndex, word: bytes, img: bytes):
+    def __init__(self, ri: RootIndex, word: bytes | None, img: bytes):
         self.ri = ri
-        self.word = word
+        self._word = word
         self.img = img
+
+    @property
+    def word(self) -> bytes:
+        if self._word is None:
+            self._word = _first_reduced_word(self.ri, self.img)
+        return self._word
 
     def __repr__(self) -> str:
         return f"Chamber(word={tuple(self.word)})"
@@ -231,40 +245,85 @@ def identity_chamber(rs: RootSystem) -> Chamber:
     return Chamber(root_index(rs), b"", bytes(range(n)))
 
 
+def _first_reduced_word(ri: RootIndex, img: bytes) -> bytes:
+    """The lexicographically first reduced word of the element with image img.
+
+    Its first letter is the smallest left descent i of w, the first simple
+    root alpha_i in w(negative roots) = img[npos:]; the rest is the word of
+    s_i w, one shorter.
+    """
+    npos, tables, simple = ri.npos, ri.tables, ri.simple
+    word = bytearray()
+    while True:
+        negative = img[npos:]
+        i = next((i for i, k in enumerate(simple) if k in negative), None)
+        if i is None:
+            return bytes(word)
+        word.append(i + 1)
+        img = img.translate(tables[i])
+
+
+def _coset_tables(ri: RootIndex, k: int) -> list[bytes]:
+    """The minimal left coset representatives of W_{k-1} in W_k, as tables.
+
+    W_k = <s_1, ..., s_k>.  u is minimal in u W_{k-1} iff u(alpha_j) > 0
+    for every j < k.  Deleting the first letter of a reduced word of such a
+    u leaves another one, so all of them are reached from 1 by left
+    multiplication through s_1, ..., s_k without leaving the set.  Each is
+    returned as its image followed by range(n, 256), so that
+    v.translate(table) is the image of u v.
+    """
+    npos = ri.npos
+    lower = _tuple_getter(ri.simple[: k - 1])
+    identity = bytes(range(len(ri.key)))
+    found, seen = [identity], {identity}
+    for u in found:  # read as it grows
+        for table in ri.tables[:k]:
+            img = u.translate(table)
+            if img not in seen and all(map(npos.__gt__, lower(img))):
+                seen.add(img)
+                found.append(img)
+    tail = bytes(range(len(identity), 256))
+    return [u + tail for u in found]
+
+
+def weyl_images(rs: RootSystem) -> Iterator[bytes]:
+    """Every Weyl group element once, as the bytes of its image.
+
+    W_k = W^k W_{k-1} over the nodes k = 1, ..., rank, where W^k holds the
+    minimal left coset representatives and lengths add (Bjorner and Brenti,
+    Combinatorics of Coxeter Groups, 2.4).  W_{rank-1} is built as a list;
+    the last level is streamed, one coset after another.  Refuses more roots
+    than a byte table holds before it returns.
+    """
+    start = identity_chamber(rs)
+    ri = start.ri
+    rank = len(ri.simple)
+    if not rank:
+        return iter([start.img])
+    elements = [start.img]
+    for k in range(1, rank):
+        elements = [v.translate(table) for table in _coset_tables(ri, k) for v in elements]
+    return chain.from_iterable(map(bytes.translate, elements, repeat(table)) for table in _coset_tables(ri, rank))
+
+
 # A sweep needs one group at a time; a larger cache keeps every swept group
 # (up to 51 840 chambers each) alive until the process ends.
 @lru_cache(maxsize=1)
 def all_chambers(rs: RootSystem) -> tuple[Chamber, ...]:
-    """Every Weyl group element, breadth-first by length on left multiplication.
+    """Every Weyl group element, as the chambers of weyl_images, in its order.
 
-    Each v other than 1 is reached once, as s_d w from w = s_d v with s_d
-    the first left descent of v, so no set of visited elements is kept and
-    each word is the lexicographically first reduced word of its element.
-    Images and words are kept as the bytes the tables compute.
+    Each chamber derives its word, the lexicographically first reduced word,
+    when it is first read.
     """
-    start = identity_chamber(rs)
-    ri = start.ri
+    ri = identity_chamber(rs).ri
     order = rs.weyl_group_order()
     if order > EXHAUSTIVE_WEYL_BOUND:
         raise WeylError(f"exhaustive enumeration of {order} chambers refused")
-    npos = ri.npos
-    # s_i w is one longer than w when alpha_i lies in w(positive roots), and
-    # has no left descent s_j with j < i when each s_i(alpha_j) lies there
-    # too.  needed holds the indices of those roots; all of them lie in the
-    # positive image when deleting them from it leaves rest indices.
-    steps = []
-    for i, (table, perm) in enumerate(zip(ri.tables, ri.reflections), 1):
-        needed = bytes([ri.simple[i - 1], *(perm[k] for k in ri.simple[: i - 1])])
-        steps.append((bytes((i,)), table, needed, npos - len(needed)))
-    found = [start]
-    for ch in found:  # read as it grows, so layer by layer
-        positive = ch.img[:npos]
-        for letter, table, needed, rest in steps:
-            if len(positive.translate(None, needed)) == rest:
-                found.append(Chamber(ri, letter + ch.word, ch.img.translate(table)))
-    if len(found) != order:
-        raise WeylError(f"chamber count {len(found)} != {order}")
-    return tuple(found)
+    chambers = tuple(map(partial(Chamber, ri, None), weyl_images(rs)))
+    if len(chambers) != order:
+        raise WeylError(f"chamber count {len(chambers)} != {order}")
+    return chambers
 
 
 def random_chambers(rs: RootSystem, count: int, seed: int) -> list[Chamber]:

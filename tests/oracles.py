@@ -19,7 +19,7 @@ from quasisplit import verify
 from quasisplit.chevalley import pinned_signs, structure_constants
 from quasisplit.involution import enumerate_involution_classes
 from quasisplit.rootdata import RootSystem, Vector, build_root_system, format_subsystem, identify_subsystem
-from quasisplit.weyl import Chamber, folded_generators, reflect
+from quasisplit.weyl import Chamber, folded_generators, identity_chamber, reflect
 
 
 def roots_by_reflection_closure(rs: RootSystem) -> frozenset[Vector]:
@@ -167,6 +167,21 @@ def extend_chamber(ch: Chamber, i: int) -> Chamber:
     permutation rather than the left-multiplication tables."""
     perm = ch.ri.reflections[i - 1]
     return Chamber(ch.ri, ch.word + bytes((i,)), bytes(map(ch.img.__getitem__, perm)))
+
+
+def chamber_closure(rs: RootSystem) -> set[bytes]:
+    """The images of every Weyl group element, as the closure of the identity
+    under extend_chamber with a visited set, in place of the coset product."""
+    start = identity_chamber(rs)
+    seen = {start.img}
+    frontier = [start]
+    for ch in frontier:  # read as it grows
+        for i in range(1, rs.rank + 1):
+            ext = extend_chamber(ch, i)
+            if ext.img not in seen:
+                seen.add(ext.img)
+                frontier.append(ext)
+    return seen
 
 
 def imaginary_signs_by_pairs(

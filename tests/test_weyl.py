@@ -23,7 +23,7 @@ from quasisplit.weyl import (
     root_index,
 )
 
-from oracles import VectorChamber, extend_chamber, on_root, randrange_words
+from oracles import VectorChamber, chamber_closure, extend_chamber, on_root, randrange_words
 
 CHAMBER_COUNTS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "G2": 12, "D4": 192, "A1+A1": 4}
 
@@ -49,6 +49,32 @@ def test_all_chambers_words_are_first_reduced_words(type_str):
             first.setdefault(VectorChamber(rs, word).images, word)
         length += 1
     assert {ch.images: tuple(ch.word) for ch in chambers} == first
+
+
+@pytest.mark.parametrize("type_str", simple_types_up_to(5) + ["D6", "E6", "A1+A2", "A1+T1+A1"])
+def test_all_chambers_is_the_closure_of_the_identity(type_str):
+    rs = build_root_system(type_str)
+    images = [ch.img for ch in all_chambers(rs)]
+    closure = chamber_closure(rs)
+    assert len(closure) == rs.weyl_group_order()
+    assert len(set(images)) == len(images) == len(closure)
+    assert set(images) == closure
+
+
+@pytest.mark.parametrize("type_str", ["B4", "D4", "F4"])
+def test_derived_words_peel_the_smallest_left_descent(type_str):
+    rs = build_root_system(type_str)
+    npos = len(rs.positive_roots)
+    for ch in all_chambers(rs):
+        word = ch.word
+        # the length of w is the number of positive roots it makes negative
+        assert len(word) == sum(k >= npos for k in ch.img[:npos])
+        assert VectorChamber(rs, word).images == ch.images
+        for m, letter in enumerate(word):
+            # s_i is a left descent of x iff x^{-1}(alpha_i) is negative
+            rest = VectorChamber(rs, word[m:])
+            descents = [i for i, v in enumerate(rest.inv_images, 1) if min(v) < 0]
+            assert descents[0] == letter
 
 
 def test_identity_chamber():
