@@ -179,12 +179,16 @@ class PinnedSigns:
     theta[k] is the root index of theta0(root_k) and signs[k] is c(root_k);
     c(-a) = c(a).  c is +1 on simple roots and on everything when theta0 is
     the identity, and the identity case skips the structure constants.
+    imaginary is the mask of the theta0-fixed roots and minus the mask of
+    those among them with c = -1.
     """
 
     rs: RootSystem
     aut: DiagramAutomorphism
     theta: tuple[int, ...] = field(compare=False)
     signs: tuple[int, ...] = field(compare=False)
+    imaginary: int = field(compare=False)
+    minus: int = field(compare=False)
 
 
 @lru_cache(maxsize=None)
@@ -196,8 +200,9 @@ def pinned_signs(rs: RootSystem, aut: DiagramAutomorphism) -> PinnedSigns:
     checked for every other decomposition.  Also checks c(a) c(theta0 a) = 1,
     which makes the lift an involution when theta0 is.
     """
+    n = len(rs.roots)
     if aut.is_identity:
-        return PinnedSigns(rs, aut, tuple(range(len(rs.roots))), (1,) * len(rs.roots))
+        return PinnedSigns(rs, aut, tuple(range(n)), (1,) * n, (1 << n) - 1, 0)
     ri = root_index(rs)
     # theta0 moves coefficient i to node perm[i], so unit i to unit perm[i]
     moved = tuple(ri.units[j - 1] for j in aut.perm)
@@ -222,4 +227,7 @@ def pinned_signs(rs: RootSystem, aut: DiagramAutomorphism) -> PinnedSigns:
         for gamma in range(ri.npos):
             if signs[gamma] * signs[theta[gamma]] != 1:
                 raise ChevalleyError(f"pinned lift fails to square to one at {rs.roots[gamma]}")
-    return PinnedSigns(rs, aut, theta, tuple(signs) * 2)
+    npos = ri.npos
+    fixed = [k for k in range(npos) if theta[k] == k]
+    imaginary, minus = ri.mask(fixed), ri.mask(k for k in fixed if signs[k] == -1)
+    return PinnedSigns(rs, aut, theta, tuple(signs) * 2, imaginary | imaginary << npos, minus | minus << npos)

@@ -7,36 +7,39 @@ built from the pinned signs and the grading vector; eps = +1 marks root
 spaces inside the fixed subgroup.
 
 IndexedGrading is the one per-root table of a (class, grading): theta0 as a
-permutation of root indices (see weyl.root_index), eps per root index, and
-the imaginary and compact imaginary roots as bitmasks.  Root counts,
-dimensions, the compact subsystem type, the unipotent dimensions at a chamber
-and the generic-character test are all read from it.
+permutation of root indices (see weyl.root_index) and the imaginary and
+compact imaginary roots as bitmasks, built by XOR of per-node parity masks;
+eps per root index is read from the two masks.  Root counts, dimensions, the
+compact subsystem type, the unipotent dimensions at a chamber and the
+generic-character test are all read from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .chevalley import pinned_signs
 from .involution import Grading, InvolutionClass, grading_string
-from .rootdata import format_subsystem, identify_subsystem, type_string
+from .rootdata import format_subsystem, identify_cartan, type_string
 from .weyl import Chamber, root_index
 
 
 class IndexedGrading:
     """One class at one grading, in root-index form (see weyl.root_index).
 
-    theta is theta0 as a permutation of root indices, signs[k] the eps of an
-    imaginary root k (0 on complex roots), and imaginary and compact the
-    bitmasks of the imaginary and of the compact imaginary roots.
+    theta is theta0 as a permutation of root indices, and imaginary and
+    compact the bitmasks of the imaginary and of the compact imaginary
+    roots; signs[k] is the eps of root k read from them (0 on complex roots).
 
     eps of an imaginary root is its pinned sign times the grading signs at
     the fixed-node coefficients; swapped-node coefficients never contribute
     because the torus part is normalized to +1 there.  So it is the pinned
     sign times -1 to the number of minus nodes where the root has an odd
-    coefficient (RootIndex.odd).
+    coefficient: over the roots at once, the odd roots are the XOR of
+    RootIndex.odd_masks over the minus nodes (parity), and an imaginary root
+    is compact when its pinned sign is -1 exactly where it is odd.
     """
 
     def __init__(self, cls: InvolutionClass, rep: Grading):
@@ -45,14 +48,22 @@ class IndexedGrading:
         self.cls = cls
         self.ri = ri = root_index(cls.rs)
         pinned = pinned_signs(cls.rs, cls.aut)
-        self.theta = theta = pinned.theta
-        minus = sum(ri.units[node - 1] for node, s in zip(cls.fixed_nodes, rep) if s == -1)
-        self.signs = signs = tuple(
-            0 if t != k else -sign if (odd & minus).bit_count() & 1 else sign
-            for k, (t, sign, odd) in enumerate(zip(theta, pinned.signs, ri.odd))
+        self.theta = pinned.theta
+        odd_masks, parity = ri.odd_masks, 0
+        for node, s in zip(cls.fixed_nodes, rep):
+            if s == -1:
+                parity ^= odd_masks[node - 1]
+        self.imaginary = pinned.imaginary
+        self.compact = pinned.imaginary & ~(pinned.minus ^ parity)
+
+    @cached_property
+    def signs(self) -> tuple[int, ...]:
+        """eps per root index: +1 on compact, -1 on the other imaginary roots, 0
+        on complex ones.  Assignable, so a test can plant wrong signs."""
+        imaginary, compact = self.imaginary, self.compact
+        return tuple(
+            (compact >> k & 1) * 2 - 1 if imaginary >> k & 1 else 0 for k in range(len(self.theta))
         )
-        self.imaginary = ri.mask(k for k, t in enumerate(theta) if t == k)
-        self.compact = ri.mask(k for k, sign in enumerate(signs) if sign == 1)
 
     def theta_mask(self, indices: Iterable[int]) -> int:
         """Bitmask of theta0 applied to the given root indices."""
@@ -153,17 +164,17 @@ def k_subsystem(cls: InvolutionClass) -> str:
 
     Only meaningful for inner classes, where every root is imaginary and the
     compact roots form a closed subsystem; the simple ones are the compact
-    positives that are not sums of two compact positives.
+    positives that are not sums of two compact positives, and their Cartan
+    matrix comes from root strings (RootIndex.cartan).
     """
     if not cls.is_inner:
         raise ValueError("compact subsystem type is computed for inner classes")
     rs = cls.rs
     g = indexed_grading(cls, cls.canonical_rep)
-    positives = (1 << g.ri.npos) - 1
-    simples = [rs.roots[k] for k in g.ri.simples(g.compact & positives)]
-    types = identify_subsystem(rs, simples)
+    ri = g.ri
+    simples = ri.simples(g.compact & (1 << ri.npos) - 1)
     residual = rs.rank - len(simples) + rs.central_torus_dim
-    return format_subsystem(types, residual)
+    return format_subsystem(identify_cartan(ri.cartan(simples)), residual)
 
 
 def classify_involution(cls: InvolutionClass) -> ClassSummary:

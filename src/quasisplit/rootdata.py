@@ -15,6 +15,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import compress
 from operator import add, mul
 from typing import Iterable, Sequence
 
@@ -357,6 +358,10 @@ class DiagramAutomorphism:
 
     def cycle_string(self) -> str:
         """Deterministic cycle notation, "1" for the identity."""
+        return self._cycles
+
+    @cached_property
+    def _cycles(self) -> str:
         seen = set()
         cycles = []
         for start in range(1, len(self.perm) + 1):
@@ -432,37 +437,37 @@ def support_connected(rs: RootSystem, v: Vector) -> tuple[tuple[int, ...], bool]
     return tuple(nodes), seen == node_set
 
 
-def _component_type_of_cartan(cartan: list[list[int]]) -> tuple[str, int]:
-    """Identify a connected Cartan matrix up to node relabeling."""
-    rank = len(cartan)
+def _component_type(
+    cartan: Sequence[Sequence[int]], nodes: list[int], neighbors: list[list[int]]
+) -> tuple[str, int]:
+    """Identify one connected component of a Cartan matrix up to node
+    relabeling, from its nodes (in increasing order) and their neighbors.
+
+    A Dynkin diagram is a tree; anything else, a cycle say, is refused
+    before the arms are walked.
+    """
+    rank = len(nodes)
     if rank == 1:
         return ("A", 1)
-    bonds = {}
-    degree = [0] * rank
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            b = cartan[i][j] * cartan[j][i]
-            if b:
-                bonds[(i, j)] = b
-                degree[i] += 1
-                degree[j] += 1
-    maxbond = max(bonds.values())
+    if sum(len(neighbors[i]) for i in nodes) != 2 * (rank - 1):
+        raise RootDataError("the Cartan matrix is not of finite type: its diagram is no tree")
+    maxbond = max(cartan[i][j] * cartan[j][i] for i in nodes for j in neighbors[i])
     if maxbond == 3:
         return ("G", 2)
     if maxbond == 2:
         if rank == 2:
             return ("B", 2)
         # relative lengths by propagation: c[i][j]/c[j][i] = d_j/d_i
-        d = [0] * rank
-        d[0] = 2
-        stack = [0]
+        d = {nodes[0]: 2}
+        stack = [nodes[0]]
         while stack:
             i = stack.pop()
-            for j in range(rank):
-                if j != i and cartan[i][j] and not d[j]:
+            for j in neighbors[i]:
+                if j not in d:
                     d[j] = d[i] * cartan[i][j] // cartan[j][i]
                     stack.append(j)
-        short = sum(1 for x in d if x == min(d))
+        lengths = list(d.values())
+        short = lengths.count(min(lengths))
         if rank == 4 and short == 2:
             return ("F", 4)
         if short == 1:
@@ -470,21 +475,23 @@ def _component_type_of_cartan(cartan: list[list[int]]) -> tuple[str, int]:
         if short == rank - 1:
             return ("C", rank)
         raise RootDataError("unrecognized multiply-laced Cartan matrix")
-    if max(degree) <= 2:
+    hubs = [i for i in nodes if len(neighbors[i]) > 2]
+    if not hubs:
         return ("A", rank)
-    hub = degree.index(3)
+    if len(hubs) != 1 or len(neighbors[hubs[0]]) != 3:
+        raise RootDataError("unrecognized simply-laced Cartan matrix")
+    hub = hubs[0]
     arms = []
-    for j in range(rank):
-        if j != hub and bonds.get((min(hub, j), max(hub, j))):
-            length = 1
-            prev, cur = hub, j
-            while True:
-                nxt = [k for k in range(rank) if k not in (prev, cur) and bonds.get((min(cur, k), max(cur, k)))]
-                if not nxt:
-                    break
-                prev, cur = cur, nxt[0]
-                length += 1
-            arms.append(length)
+    for j in neighbors[hub]:
+        length = 1
+        prev, cur = hub, j
+        while True:
+            nxt = [k for k in neighbors[cur] if k != prev]
+            if not nxt:
+                break
+            prev, cur = cur, nxt[0]
+            length += 1
+        arms.append(length)
     arms.sort()
     if arms[:2] == [1, 1]:
         return ("D", rank)
@@ -497,37 +504,28 @@ def _component_type_of_cartan(cartan: list[list[int]]) -> tuple[str, int]:
     raise RootDataError("unrecognized simply-laced Cartan matrix")
 
 
-def identify_subsystem(rs: RootSystem, simple_vectors: Sequence[Vector]) -> tuple[tuple[str, int], ...]:
-    """Type of the subsystem spanned by the given simple roots.
+def identify_cartan(cartan: Sequence[Sequence[int]]) -> tuple[tuple[str, int], ...]:
+    """Types of the connected components of a Cartan matrix, largest first.
 
-    Computes mutual Cartan integers with the ambient form, splits into
-    connected components, and identifies each one.
+    cartan[i][j] = <beta_j, beta_i^vee> for simple roots beta_i of a
+    subsystem (weyl.RootIndex.cartan gives it from root strings).
     """
-    vecs = list(simple_vectors)
-    if not vecs:
-        return ()
-    n = len(vecs)
-    # (alpha_i, w) for every node i, once per w; (v, w) is its sum against v
-    forms = [[d * sum(map(mul, row, w)) for d, row in zip(rs.lengths, rs.cartan)] for w in vecs]
-    gram = [[sum(map(mul, v, form)) for v in vecs] for form in forms]
-    # cartan[i][j] = <vecs[j], vecs[i]^vee>
-    cartan = [[2 * g // row[i] for g in row] for i, row in enumerate(gram)]
-    unseen = set(range(n))
+    n = len(cartan)
+    neighbors = [[j for j in compress(range(n), row) if j != i] for i, row in enumerate(cartan)]
+    seen = [False] * n
     types = []
-    while unseen:
-        start = min(unseen)
-        comp = {start}
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in list(unseen - comp):
-                if cartan[i][j]:
-                    comp.add(j)
-                    stack.append(j)
-        unseen -= comp
-        idx = sorted(comp)
-        sub = [[cartan[i][j] for j in idx] for i in idx]
-        types.append(_component_type_of_cartan(sub))
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        nodes = [start]
+        for i in nodes:  # read as it grows
+            for j in neighbors[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    nodes.append(j)
+        nodes.sort()
+        types.append(_component_type(cartan, nodes, neighbors))
     types.sort(key=lambda t: (-t[1], t[0]))
     return tuple(types)
 

@@ -181,7 +181,7 @@ def check_imaginary_signs(
     that mask.
 
     For an inner pair the sign test only restates that
-    IndexedGrading.compact agrees with signs: compact is built from signs,
+    IndexedGrading.signs agrees with compact: signs are read from compact,
     every inner root is imaginary, and the pair survives only when no wall
     is compact, so every wall carries sign -1.  The outer pairs, whose
     w-simple imaginary roots come from RootIndex.simples, carry the
@@ -223,8 +223,9 @@ def check_imaginary_signs(
                         simples = outer_simples.get(key)
                         if simples is None:
                             simples = outer_simples[key] = ri.simples(key)
+                    signs = g.signs
                     for i, k in enumerate(simples):
-                        sign = g.signs[k]
+                        sign = signs[k]
                         if fault_pending and i == 0:
                             sign = -sign
                             fault_pending = False

@@ -17,9 +17,9 @@ chamber decides, its walls and its w-positive roots, are int bitmasks.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, partial, reduce
-from itertools import chain, repeat
+from itertools import chain, combinations, compress, repeat, starmap
 from math import isqrt
-from operator import itemgetter, neg
+from operator import add, itemgetter, neg, or_, sub
 from random import Random
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -111,14 +111,19 @@ class RootIndex:
         return {v: k for k, v in enumerate(self.rs.roots)}
 
     @cached_property
-    def odd(self) -> tuple[int, ...]:
-        """odd[k]: the key bits of the nodes at which root k has an odd coefficient.
+    def odd_masks(self) -> tuple[int, ...]:
+        """odd_masks[i - 1]: the mask of the roots with an odd coefficient at node i.
 
-        Bit KEY_BITS * (i - 1) stands for node i, as in units; -root_k has
-        the odd nodes of root_k.
+        Positive keys hold nonnegative fields, so the low bit of field i - 1
+        (units[i - 1]) is the parity of the coefficient; -root_k has the odd
+        nodes of root_k.
         """
-        lows = sum(self.units)
-        return tuple(map(lows.__and__, self.key[: self.npos])) * 2
+        keys, npos = self.key[: self.npos], self.npos
+        masks = []
+        for unit in self.units:
+            positive = self.mask(compress(range(npos), map(unit.__and__, keys)))
+            masks.append(positive | positive << npos)
+        return tuple(masks)
 
     @cached_property
     def tables(self) -> tuple[bytes, ...]:
@@ -155,27 +160,57 @@ class RootIndex:
         """
         keys, at, npos, bits = self.key, self.at, self.npos, self.bits
         out: list[list[int]] = [[] for _ in keys]
-        for a in range(npos):
-            for b, c in zip(range(a + 1, npos), map(at.get, map(keys[a].__add__, keys[a + 1 : npos]))):
-                if c is None:
-                    continue
-                na, nb, nc = a + npos, b + npos, c + npos
-                out[c].append(bits[a] | bits[b])
-                out[b].append(bits[c] | bits[na])
-                out[a].append(bits[c] | bits[nb])
-                out[nc].append(bits[na] | bits[nb])
-                out[nb].append(bits[nc] | bits[a])
-                out[na].append(bits[nc] | bits[b])
+        # every pair a < b of positive roots is tried at C level; only the
+        # pairs whose key sum is a root reach the loop body
+        key_sums = starmap(add, combinations(keys[:npos], 2))
+        for a, b in compress(combinations(range(npos), 2), map(at.__contains__, key_sums)):
+            c = at[keys[a] + keys[b]]
+            na, nb, nc = a + npos, b + npos, c + npos
+            out[c].append(bits[a] | bits[b])
+            out[b].append(bits[c] | bits[na])
+            out[a].append(bits[c] | bits[nb])
+            out[nc].append(bits[na] | bits[nb])
+            out[nb].append(bits[nc] | bits[a])
+            out[na].append(bits[nc] | bits[b])
         return tuple(map(tuple, out))
 
     def simples(self, members: int) -> list[int]:
         """Indices of the members that are not the sum of two members: the
         simple roots of a positive system given as a mask."""
-        sums = self.sums
-        return [
-            k for k in self.indices(members)
-            if not any(members & pair == pair for pair in sums[k])
-        ]
+        sums, outside = self.sums, ~members
+        # a pair lies inside members when no bit of it is outside
+        return [k for k in self.indices(members) if all(map(outside.__and__, sums[k]))]
+
+    def cartan(self, indices: Sequence[int]) -> list[list[int]]:
+        """The Cartan matrix of the given roots, no two of them opposite.
+
+        Entry [i][j] is <root_j, root_i^vee> = p - q, where the root_i-string
+        through root_j runs from root_j - p root_i to root_j + q root_i
+        (Humphreys, Introduction to Lie Algebras and Representation Theory,
+        9.4).  A string has at most four roots, so p, q <= 3, each found by
+        key lookups.  Both strings of a pair are empty unless the sum or the
+        difference of the pair is a root, so only those pairs are walked;
+        the diagonal is 2.
+        """
+        at = self.at
+        has = at.__contains__
+        chosen = list(map(self.key.__getitem__, indices))
+        n = len(chosen)
+        out = [[0] * n for _ in range(n)]
+        for i in range(n):
+            out[i][i] = 2
+        pairs = list(combinations(chosen, 2))
+        joined = map(or_, map(has, starmap(add, pairs)), map(has, starmap(sub, pairs)))
+        for i, j in compress(combinations(range(n), 2), joined):
+            for row, col in ((i, j), (j, i)):
+                step, key = chosen[row], chosen[col]
+                p = q = 0
+                while p < 3 and key - (p + 1) * step in at:
+                    p += 1
+                while q < 3 and key + (q + 1) * step in at:
+                    q += 1
+                out[row][col] = p - q
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -377,11 +412,19 @@ def orbit_partition(
     """Orbits on the bit vectors range(2**bits) of GF(2)-affine maps.
 
     A generator (flip, columns) sends s to flip ^ A s, where A is the
-    identity plus the listed columns: s ^ delta for each (bit, delta) pair
-    with s & bit.  Returns (labels, firsts, sizes): orbit n has smallest
-    member firsts[n] and sizes[n] members, orbits are numbered in order of
-    their smallest member, and labels[s] is the number of the orbit of s.
+    identity plus the listed columns: s ^ delta for each (bit, delta) pair,
+    bit a single bit, with s & bit.  Returns (labels, firsts, sizes): orbit
+    n has smallest member firsts[n] and sizes[n] members, orbits are
+    numbered in order of their smallest member, and labels[s] is the number
+    of the orbit of s.
+
+    Each generator is applied through two lookup lists, one over the low
+    `low` bits and one over the rest: the image of s is
+    lo[s & mask] ^ hi[s >> low], and lo carries the flip.
     """
+    low = bits // 2
+    mask = (1 << low) - 1
+    tables = [_affine_halves(bits, low, flip, columns) for flip, columns in generators]
     labels = [-1] * (1 << bits)
     firsts, sizes = [], []
     for start in range(1 << bits):
@@ -390,17 +433,36 @@ def orbit_partition(
         label = labels[start] = len(firsts)
         orbit = [start]
         for s in orbit:
-            for flip, columns in generators:
-                t = flip ^ s
-                for bit, delta in columns:
-                    if s & bit:
-                        t ^= delta
+            a, b = s & mask, s >> low
+            for lo, hi in tables:
+                t = lo[a] ^ hi[b]
                 if labels[t] < 0:
                     labels[t] = label
                     orbit.append(t)
         firsts.append(start)
         sizes.append(len(orbit))
     return tuple(labels), firsts, sizes
+
+
+def _affine_halves(
+    bits: int, low: int, flip: int, columns: Sequence[tuple[int, int]]
+) -> tuple[list[int], list[int]]:
+    """The map s -> flip ^ A s of orbit_partition as two lookup lists.
+
+    lo[x] is the image of x for x < 2**low, and hi[y] is A (y << low) for
+    y < 2**(bits - low); the image of s is lo[s & (2**low - 1)] ^ hi[s >> low]
+    since A is linear.  Each list doubles once per bit: the images of the
+    members with that bit set are those without it, XOR the column of that
+    bit.
+    """
+    images = [1 << j for j in range(bits)]  # A applied to each single bit
+    for bit, delta in columns:
+        images[bit.bit_length() - 1] ^= delta
+    lo, hi = [flip], [0]
+    for j, column in enumerate(images):
+        half = lo if j < low else hi
+        half += [t ^ column for t in half]
+    return lo, hi
 
 
 def folded_generators(rs: RootSystem, perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:

@@ -18,7 +18,7 @@ import numpy as np
 from quasisplit import verify
 from quasisplit.chevalley import pinned_signs, structure_constants
 from quasisplit.involution import enumerate_involution_classes
-from quasisplit.rootdata import RootSystem, Vector, build_root_system, format_subsystem, identify_subsystem
+from quasisplit.rootdata import RootSystem, Vector, build_root_system, format_subsystem, identify_cartan
 from quasisplit.weyl import Chamber, folded_generators, identity_chamber, reflect
 
 
@@ -55,6 +55,24 @@ def bilinear(rs: RootSystem, v: Vector, w: Vector) -> int:
             row = rs.cartan[i]
             total += v[i] * rs.lengths[i] * sum(row[j] * w[j] for j in range(rs.rank))
     return total
+
+
+def cartan_by_vectors(rs: RootSystem, vectors) -> list[list[int]]:
+    """Cartan matrix [i][j] = 2 (v_j, v_i) / (v_i, v_i) of the given roots,
+    from the Gram matrix of the invariant form."""
+    gram = [[bilinear(rs, v, w) for w in vectors] for v in vectors]
+    out = []
+    for i, row in enumerate(gram):
+        entries = [divmod(2 * g, row[i]) for g in row]
+        assert all(r == 0 for _, r in entries), (vectors[i], row)
+        out.append([q for q, _ in entries])
+    return out
+
+
+def identify_subsystem(rs: RootSystem, simple_vectors) -> tuple[tuple[str, int], ...]:
+    """Type of the subsystem spanned by the given simple roots, through the
+    vector Gram matrix."""
+    return identify_cartan(cartan_by_vectors(rs, list(simple_vectors)))
 
 
 def norm(rs: RootSystem, v: Vector) -> int:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from quasisplit.classify import (
+    IndexedGrading,
     admits_generic_character,
     classify_involution,
     fixed_group_dim,
@@ -25,6 +26,7 @@ from quasisplit.weyl import all_chambers, identity_chamber
 
 from oracles import (
     VectorChamber,
+    _eps_by_vectors,
     k_subsystem_by_vectors,
     on_root,
     unipotent_fixed_dim_by_vectors,
@@ -180,11 +182,38 @@ def test_unipotent_dims_match_vector_oracle(type_str):
                 )
 
 
+# the rank 9-10 types of the benchmark's high-rank workload: its fixed
+# types and its two rows of products
+HIGH_RANK_TYPES = (
+    ["A9", "B9", "C9", "D9", "A10"]
+    + ["A3+A3+A3", "B3+B3+B3", "B4+B4+A1", "C4+C4+A1"]
+    + ["A5+A5", "B5+B5", "C5+C5", "D5+D5", "A4+A4+A2"]
+)
+
+
 def test_k_subsystem_matches_vector_oracle():
-    for type_str in simple_types_up_to(8):
+    # Cartan integers from root strings against the vector Gram matrix, and
+    # the compact simple roots against vector subtraction
+    for type_str in simple_types_up_to(8) + HIGH_RANK_TYPES:
         for cls in _classes(type_str):
             if cls.is_inner:
                 assert k_subsystem(cls) == k_subsystem_by_vectors(cls), (type_str, cls.class_id)
+
+
+@pytest.mark.parametrize("type_str", simple_types_up_to(6))
+def test_grading_masks_match_eps_by_vectors(type_str):
+    # every grading of every class, outer ones included: the XOR of parity
+    # masks against eps computed root by root from the coefficient vectors
+    rs = build_root_system(type_str)
+    roots = rs.roots
+    for cls in _classes(type_str):
+        fixed = [on_root(cls.aut, v) == v for v in roots]
+        for rep in cls.orbit:
+            g = IndexedGrading(cls, rep)
+            eps = tuple(_eps_by_vectors(cls, rep, v) if f else 0 for v, f in zip(roots, fixed))
+            assert g.signs == eps, (type_str, cls.class_id, rep)
+            assert g.imaginary == g.ri.mask(k for k, f in enumerate(fixed) if f)
+            assert g.compact == g.ri.mask(k for k, e in enumerate(eps) if e == 1)
 
 
 def test_unipotent_fixed_dim_trivial_class():

@@ -26,7 +26,7 @@ from quasisplit.rootdata import (
 )
 from quasisplit.weyl import RootIndex, WeylError, reflect, root_index
 
-from oracles import down_string_length, norm, on_root, positive_roots_by_string_extension
+from oracles import cartan_by_vectors, down_string_length, norm, on_root, positive_roots_by_string_extension
 from test_rootdata import SIMPLE_TYPES_RANK8, seeded_products
 
 KEY_TYPES = SIMPLE_TYPES_RANK8 + seeded_products(20, seed=10) + ["B18", "C18", "D18"]
@@ -58,8 +58,33 @@ def test_integer_tables_match_vector_definitions(type_str):
         for b, beta in enumerate(roots):
             assert string_length(ri, a, b) == down_string_length(rs, alpha, beta)
     for aut in diagram_automorphisms(rs):
-        assert pinned_signs(rs, aut).theta == tuple(index[on_root(aut, v)] for v in roots)
-    assert ri.odd == tuple(sum(u for c, u in zip(v, ri.units) if c % 2) for v in roots)
+        pinned = pinned_signs(rs, aut)
+        assert pinned.theta == tuple(index[on_root(aut, v)] for v in roots)
+        fixed = [k for k, v in enumerate(roots) if on_root(aut, v) == v]
+        assert pinned.imaginary == ri.mask(fixed)
+        assert pinned.minus == ri.mask(k for k in fixed if pinned.signs[k] == -1)
+    nodes = range(rs.rank)
+    assert ri.odd_masks == tuple(ri.mask(k for k, v in enumerate(roots) if v[i] % 2) for i in nodes)
+
+
+@pytest.mark.parametrize("type_str", SIMPLE_TYPES_RANK8)
+def test_cartan_by_strings_at_the_simple_roots(type_str):
+    rs = build_root_system(type_str)
+    ri = root_index(rs)
+    assert ri.cartan(ri.simple) == [list(row) for row in rs.cartan]
+
+
+@pytest.mark.parametrize("type_str", ["B3", "C3", "F4", "G2"])
+def test_cartan_by_strings_matches_the_gram_route(type_str):
+    # every pair of distinct positive roots: strings of up to four roots
+    # (G2) and both orders of a long and a short root
+    rs = build_root_system(type_str)
+    ri = root_index(rs)
+    positives = rs.positive_roots
+    by_vectors = cartan_by_vectors(rs, positives)
+    by_strings = ri.cartan(range(ri.npos))
+    assert by_strings == by_vectors
+    assert {abs(x) for row in by_strings for x in row} >= ({0, 1, 2, 3} if type_str == "G2" else {0, 1, 2})
 
 
 def _hand_built(coefficient: int) -> RootSystem:
@@ -120,3 +145,20 @@ print("ok")
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements, so no invariant or input check of
+    # the package may rest on one
+    import ast
+
+    package = Path(__file__).resolve().parents[1] / "src" / "quasisplit"
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found

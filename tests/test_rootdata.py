@@ -12,18 +12,20 @@ from quasisplit.rootdata import (
     RootSystem,
     build_root_system,
     diagram_automorphisms,
-    identify_subsystem,
+    identify_cartan,
     involution_work,
     parse_type_string,
     support_connected,
     type_string,
     weyl_order,
 )
+from quasisplit.weyl import root_index
 
 from oracles import (
     bilinear,
     coxeter_number,
     diagram_automorphisms_by_permutations,
+    identify_subsystem,
     norm,
     on_root,
     roots_by_reflection_closure,
@@ -232,10 +234,22 @@ def test_support_connected():
 
 
 def test_identify_subsystem_roundtrip():
+    # the type of a whole system, from its Cartan matrix, from root strings
+    # at its simple roots and from the vector Gram matrix
     for type_str in ["A3", "B3", "C3", "D4", "F4", "G2", "E6", "E7", "E8", "B2+A1"]:
         rs = build_root_system(type_str)
+        ri = root_index(rs)
         expected = tuple(sorted(rs.components, key=lambda t: (-t[1], t[0])))
+        assert identify_cartan(rs.cartan) == expected
+        assert identify_cartan(ri.cartan(ri.simple)) == expected
         assert identify_subsystem(rs, rs.simple_roots) == expected
+
+
+def _both_routes(rs, vectors):
+    ri = root_index(rs)
+    by_strings = identify_cartan(ri.cartan([ri.index[v] for v in vectors]))
+    assert by_strings == identify_subsystem(rs, vectors)
+    return by_strings
 
 
 def test_identify_subsystem_long_and_short_g2():
@@ -243,14 +257,25 @@ def test_identify_subsystem_long_and_short_g2():
     # long roots of G2 form A2, short roots form A2 as well
     long_simples = [(0, 1), (3, 1)]
     short_simples = [(1, 0), (1, 1)]
-    assert identify_subsystem(rs, long_simples) == (("A", 2),)
-    assert identify_subsystem(rs, short_simples) == (("A", 2),)
+    assert _both_routes(rs, long_simples) == (("A", 2),)
+    assert _both_routes(rs, short_simples) == (("A", 2),)
+
+
+def test_identify_cartan_refuses_diagrams_of_no_finite_type():
+    # a cycle (affine A2) and a node of degree four (affine D4) are no
+    # Dynkin diagram; they are refused, not walked forever or mistyped
+    cycle = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+    star = [[2, -1, -1, -1, -1]] + [[-1] + [2 * (i == j) for j in range(1, 5)] for i in range(1, 5)]
+    for cartan in (cycle, star):
+        with pytest.raises(RootDataError):
+            identify_cartan(cartan)
 
 
 def test_identify_subsystem_inside_a3():
     rs = build_root_system("A3")
-    assert identify_subsystem(rs, [(1, 0, 0), (0, 0, 1)]) == (("A", 1), ("A", 1))
-    assert identify_subsystem(rs, []) == ()
+    assert _both_routes(rs, [(1, 0, 0), (0, 0, 1)]) == (("A", 1), ("A", 1))
+    assert _both_routes(rs, []) == ()
+    assert identify_cartan([]) == ()
 
 
 @given(st.sampled_from(["A2", "B2", "A3", "G2", "C3"]), st.data())

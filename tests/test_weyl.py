@@ -268,6 +268,50 @@ def test_orbit_partition_swap():
     assert _orbits(*orbit_partition(0, [])) == [[0]]
 
 
+def _orbit_partition_by_columns(bits, generators):
+    """orbit_partition's orbits, each image computed column by column."""
+    labels = [-1] * (1 << bits)
+    firsts, sizes = [], []
+    for start in range(1 << bits):
+        if labels[start] >= 0:
+            continue
+        label = labels[start] = len(firsts)
+        orbit = [start]
+        for s in orbit:
+            for flip, columns in generators:
+                t = flip ^ s
+                for bit, delta in columns:
+                    if s & bit:
+                        t ^= delta
+                if labels[t] < 0:
+                    labels[t] = label
+                    orbit.append(t)
+        firsts.append(start)
+        sizes.append(len(orbit))
+    return tuple(labels), firsts, sizes
+
+
+@st.composite
+def _affine_maps(draw):
+    bits = draw(st.integers(0, 12))
+    vectors = st.integers(0, (1 << bits) - 1)
+    generator = st.tuples(
+        vectors,
+        st.lists(st.tuples(st.sampled_from([1 << j for j in range(bits)] or [0]), vectors), max_size=bits),
+    )
+    generators = draw(st.lists(generator, min_size=1, max_size=3))
+    # no columns without a bit to sit on
+    return bits, [(flip, columns if bits else []) for flip, columns in generators]
+
+
+@given(_affine_maps())
+def test_orbit_partition_matches_the_column_formula(case):
+    # random GF(2)-affine maps, invertible or not, odd widths included; a
+    # bit may carry more than one column, whose deltas add
+    bits, generators = case
+    assert orbit_partition(bits, generators) == _orbit_partition_by_columns(bits, generators)
+
+
 def test_all_chambers_refuses_large_groups():
     with pytest.raises(WeylError, match="refused"):
         all_chambers(build_root_system("A8"))
