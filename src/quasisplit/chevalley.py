@@ -7,8 +7,9 @@ fixed by declaring the constant of the first pair, the extraspecial pair,
 positive.  Every other constant follows from the standard relations among
 constants of four roots summing to zero and of three roots summing to zero.
 Magnitudes are p + 1 where p is the length of the descending root string.
-Root strings, norms and theta0 are read from root keys (rootdata.root_key),
-and the relations are solved in exact integers.
+Root strings (RootIndex.string), root differences, norms and theta0 are
+read from root keys (rootdata.root_key), and the relations are solved in
+exact integers.
 
 A diagram automorphism theta0 lifts to the algebra fixing the simple root
 vectors; on the remaining root vectors it acts by signs c(a) computed
@@ -37,17 +38,6 @@ def _positive_pairs(ri: RootIndex, gamma: int) -> list[list[int]]:
     return [ri.indices(pair) for pair in ri.sums[gamma] if pair < limit]
 
 
-def string_length(ri: RootIndex, a: int, through: int) -> int:
-    """Number of steps k >= 1 with root_through - k * root_a still a root, by key."""
-    step, at = ri.key[a], ri.at
-    cur = ri.key[through] - step
-    p = 0
-    while cur in at:
-        p += 1
-        cur -= step
-    return p
-
-
 def root_norms(rs: RootSystem, ri: RootIndex) -> tuple[int, ...]:
     """Squared length of every root, by root index.
 
@@ -71,20 +61,22 @@ class StructureConstants:
     """N(a, b) for every pair of roots with a + b a root.
 
     Roots are root indices (weyl.root_index).  pos[(a, b)] is N(a, b) for
-    positive a, b; _diff[(x, y)] is the index of x - y for positive x, y
-    when that is a root; norms[k] is the squared length of root k.
+    positive a, b, and norms[k] is the squared length of root k.  The
+    difference x - y of two roots is read by key, ri.at.get(key[x] - key[y]);
+    every difference a relation asks for lies below the root being solved,
+    so its constants are already in pos.
     """
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self.ri = root_index(rs)
         self.pos: dict[tuple[int, int], int] = {}
-        self._diff: dict[tuple[int, int], int] = {}
         self.norms = root_norms(rs, self.ri)
         self._build()
 
     def _build(self) -> None:
         ri, roots = self.ri, self.rs.roots
+        key, string = ri.key, ri.string
         for gamma in range(ri.npos):
             pairs = _positive_pairs(ri, gamma)
             if not pairs:
@@ -92,25 +84,20 @@ class StructureConstants:
             (mu, nu), *others = pairs
             if sum(roots[mu]) != 1:
                 raise ChevalleyError(f"smallest summand of {roots[gamma]} is not simple")
-            self._store(mu, nu, gamma, string_length(ri, mu, nu) + 1)
+            self._store(mu, nu, string(key[mu], key[nu]) + 1)
             for alpha, beta in others:
                 value = self._from_four_term(mu, nu, alpha, beta, gamma)
-                expect = string_length(ri, alpha, beta) + 1
+                expect = string(key[alpha], key[beta]) + 1
                 if abs(value) != expect:
                     raise ChevalleyError(
                         f"constant for {roots[alpha]}+{roots[beta]} is {value}, string gives {expect}"
                     )
-                self._store(alpha, beta, gamma, value)
+                self._store(alpha, beta, value)
 
-    def _store(self, a: int, b: int, gamma: int, value: int) -> None:
-        """Record N(a, b) = value for positive a + b = gamma."""
-        npos = self.ri.npos
+    def _store(self, a: int, b: int, value: int) -> None:
+        """Record N(a, b) = value for positive a, b with a + b a root."""
         self.pos[(a, b)] = value
         self.pos[(b, a)] = -value
-        self._diff[(gamma, a)] = b
-        self._diff[(gamma, b)] = a
-        self._diff[(a, gamma)] = b + npos
-        self._diff[(b, gamma)] = a + npos
 
     def _from_four_term(self, mu: int, nu: int, alpha: int, beta: int, gamma: int) -> int:
         # For four roots (mu, nu, -alpha, -beta) summing to zero with no two
@@ -129,14 +116,16 @@ class StructureConstants:
     def _weighted(self, x: int, y: int, u: int, v: int) -> tuple[int, int]:
         """N(x, -y) N(u, -v) / |x - y|^2 for x - y = v - u, as (numerator,
         denominator); 0 when x - y is no root."""
-        delta = self._diff.get((x, y))
+        key = self.ri.key
+        delta = self.ri.at.get(key[x] - key[y])
         if delta is None:
             return 0, 1
         return self._mixed(x, y) * self._mixed(u, v), self.norms[delta]
 
     def _mixed(self, xi: int, eta: int) -> int:
         """N(xi, -eta) for positive xi, eta with xi != eta."""
-        delta = self._diff.get((xi, eta))
+        key = self.ri.key
+        delta = self.ri.at.get(key[xi] - key[eta])
         if delta is None:
             return 0
         norms = self.norms

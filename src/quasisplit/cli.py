@@ -60,6 +60,15 @@ def _class_record(cls) -> dict:
     return record
 
 
+def _print_json(payload) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _print_record(record: dict) -> None:
+    for key, value in record.items():
+        print(f"{key}: {value}")
+
+
 def _display_id(cls) -> str:
     return cls.class_id or "1"
 
@@ -77,11 +86,7 @@ def cmd_involutions(args) -> int:
     if args.merge_diagram_conjugate:
         groups = merge_diagram_conjugates(rs)
         if args.json:
-            payload = [
-                {"representative": _class_record(rep), "members": list(ids)}
-                for rep, ids in groups
-            ]
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            _print_json([{"representative": _class_record(rep), "members": list(ids)} for rep, ids in groups])
             return 0
         rows = []
         for rep, ids in groups:
@@ -101,7 +106,7 @@ def cmd_involutions(args) -> int:
         return 0
     classes = enumerate_involution_classes(rs)
     if args.json:
-        print(json.dumps([_class_record(c) for c in classes], indent=2, sort_keys=True))
+        _print_json([_class_record(c) for c in classes])
         return 0
     rows = []
     for cls in classes:
@@ -139,10 +144,9 @@ def cmd_report(args) -> int:
         return 2
     record = _class_record(matches[0])
     if args.json:
-        print(json.dumps(record, indent=2, sort_keys=True))
-        return 0
-    for key, value in record.items():
-        print(f"{key}: {value}")
+        _print_json(record)
+    else:
+        _print_record(record)
     return 0
 
 
@@ -175,10 +179,9 @@ def cmd_family(args) -> int:
         "real_form": real_form_label(fam.cls),
     }
     if args.json:
-        print(json.dumps(record, indent=2, sort_keys=True))
-        return 0
-    for key, value in record.items():
-        print(f"{key}: {value}")
+        _print_json(record)
+    else:
+        _print_record(record)
     return 0
 
 
@@ -205,8 +208,7 @@ def cmd_verify(args) -> int:
         inject_fault=args.inject_fault,
     )
     if args.json:
-        payload = [{"name": r.name, "passed": r.passed, "details": r.details} for r in results]
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json([vars(r) for r in results])
     else:
         for r in results:
             print(r.line())
@@ -220,10 +222,7 @@ def cmd_catalog(args) -> int:
         doc = (builder.__doc__ or "").strip().splitlines()[0]
         rows.append([name.replace("_", "-"), str(arity), doc])
     if args.json:
-        payload = [
-            {"name": r[0], "arity": int(r[1]), "description": r[2]} for r in rows
-        ]
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json([{"name": r[0], "arity": int(r[1]), "description": r[2]} for r in rows])
         return 0
     print(_render_table(["family", "arity", "description"], rows))
     return 0

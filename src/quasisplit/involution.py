@@ -115,13 +115,17 @@ def _grading_action(rs: RootSystem, aut: DiagramAutomorphism, fixed: tuple[int, 
     m the coefficient vector of g(alpha_i); only fixed-node coefficients
     matter since the cocycle is normalized to +1 on swapped nodes.  g(alpha_i)
     is found by moving the root index of alpha_i through the simple
-    reflections of the word.  Folded generators are involutions, so g and
+    reflections of the word.  g commutes with theta0 and alpha_i is
+    theta0-fixed, so g(alpha_i) is too: c = -1 there iff it lies in the
+    pinned minus mask, and the parities m_j are read from
+    RootIndex.odd_masks.  Folded generators are involutions, so g and
     g^{-1} need not be distinguished.  On bitmasks this is s' = flip ^ A s
     over GF(2); A is listed by the columns where it differs from the
     identity (see weyl.orbit_partition).
     """
-    signs = pinned_signs(rs, aut).signs
+    minus = pinned_signs(rs, aut).minus
     ri = root_index(rs)
+    odd = [ri.odd_masks[f - 1] for f in fixed]
     bits = [1 << (len(fixed) - 1 - i) for i in range(len(fixed))]
     actions = []
     for word in folded_generators(rs, aut.perm):
@@ -131,11 +135,10 @@ def _grading_action(rs: RootSystem, aut: DiagramAutomorphism, fixed: tuple[int, 
             k = ri.simple[node - 1]
             for i in reversed(word):
                 k = ri.reflections[i - 1][k]
-            if signs[k] == -1:
+            if minus >> k & 1:
                 flip |= bit
-            image = rs.roots[k]
-            for j, f in enumerate(fixed):
-                if image[f - 1] % 2:
+            for j, mask in enumerate(odd):
+                if mask >> k & 1:
                     columns[j] |= bit
         actions.append((flip, [(b, c ^ b) for b, c in zip(bits, columns) if c != b]))
     return actions

@@ -264,11 +264,15 @@ def parse_type_string(s: str) -> tuple[tuple[tuple[str, int], ...], int]:
     return tuple(components), torus
 
 
-def type_string(rs: RootSystem) -> str:
-    parts = [f"{letter}{rank}" for letter, rank in rs.components]
-    if rs.central_torus_dim:
-        parts.append(f"T{rs.central_torus_dim}")
+def format_subsystem(types: Iterable[tuple[str, int]], residual_torus: int) -> str:
+    parts = [f"{letter}{rank}" for letter, rank in types]
+    if residual_torus:
+        parts.append(f"T{residual_torus}")
     return "+".join(parts) if parts else "T0"
+
+
+def type_string(rs: RootSystem) -> str:
+    return format_subsystem(rs.components, rs.central_torus_dim)
 
 
 @lru_cache(maxsize=None)
@@ -284,7 +288,7 @@ def build_root_system(spec: str | tuple = "", central_torus_dim: int = 0) -> Roo
     else:
         components = tuple(spec)
     total = sum(rank for _, rank in components)
-    name = "+".join(f"{letter}{rank}" for letter, rank in components)
+    name = format_subsystem(components, 0)
     if total > MAX_RANK:
         raise RootDataError(f"{name}: rank {total} exceeds the bound {MAX_RANK}")
     for letter, rank in components:
@@ -441,67 +445,60 @@ def _component_type(
     cartan: Sequence[Sequence[int]], nodes: list[int], neighbors: list[list[int]]
 ) -> tuple[str, int]:
     """Identify one connected component of a Cartan matrix up to node
-    relabeling, from its nodes (in increasing order) and their neighbors.
+    relabeling, from its nodes and their neighbors, by the shape of its
+    diagram (Bourbaki, Lie Groups and Lie Algebras, ch. VI, §4).
 
-    A Dynkin diagram is a tree; anything else, a cycle say, is refused
-    before the arms are walked.
+    Every bond is single, double or triple, and a finite type is a tree
+    with at most one multiple bond or at most one branch node, never both.
+    A triple bond is G2.  For a double bond, with short node i
+    (cartan[i][j] = -2), the type is B at rank 2 or when i is an end, C when
+    the long node is an end, and F4 at rank 4.  One branch node of degree
+    three with arms 1, 1, k is D and with arms 1, 2, 2-4 is E; a chain of
+    single bonds is A.  Everything else is refused.
     """
     rank = len(nodes)
     if rank == 1:
         return ("A", 1)
     if sum(len(neighbors[i]) for i in nodes) != 2 * (rank - 1):
         raise RootDataError("the Cartan matrix is not of finite type: its diagram is no tree")
-    maxbond = max(cartan[i][j] * cartan[j][i] for i in nodes for j in neighbors[i])
-    if maxbond == 3:
-        return ("G", 2)
-    if maxbond == 2:
-        if rank == 2:
-            return ("B", 2)
-        # relative lengths by propagation: c[i][j]/c[j][i] = d_j/d_i
-        d = {nodes[0]: 2}
-        stack = [nodes[0]]
-        while stack:
-            i = stack.pop()
-            for j in neighbors[i]:
-                if j not in d:
-                    d[j] = d[i] * cartan[i][j] // cartan[j][i]
-                    stack.append(j)
-        lengths = list(d.values())
-        short = lengths.count(min(lengths))
-        if rank == 4 and short == 2:
-            return ("F", 4)
-        if short == 1:
-            return ("B", rank)
-        if short == rank - 1:
-            return ("C", rank)
-        raise RootDataError("unrecognized multiply-laced Cartan matrix")
+    multiple = []  # (short node, long node) of each multiple bond
+    for i in nodes:
+        for j in neighbors[i]:
+            if max(cartan[i][j], cartan[j][i]) != -1 or cartan[i][j] < -3:
+                raise RootDataError(f"the Cartan matrix is not of finite type: nodes {i} and {j} form no bond")
+            if cartan[i][j] < -1:
+                multiple.append((i, j))
     hubs = [i for i in nodes if len(neighbors[i]) > 2]
+    if len(multiple) + len(hubs) > 1:
+        raise RootDataError("the Cartan matrix is not of finite type: more than one multiple bond or branch")
+    if multiple:
+        ((short, long),) = multiple
+        if cartan[short][long] == -3:
+            if rank == 2:
+                return ("G", 2)
+        elif rank == 2 or len(neighbors[short]) == 1:
+            return ("B", rank)
+        elif len(neighbors[long]) == 1:
+            return ("C", rank)
+        elif rank == 4:
+            return ("F", 4)
+        raise RootDataError("the Cartan matrix is not of finite type: misplaced multiple bond")
     if not hubs:
         return ("A", rank)
-    if len(hubs) != 1 or len(neighbors[hubs[0]]) != 3:
-        raise RootDataError("unrecognized simply-laced Cartan matrix")
-    hub = hubs[0]
+    (hub,) = hubs
     arms = []
-    for j in neighbors[hub]:
-        length = 1
-        prev, cur = hub, j
-        while True:
-            nxt = [k for k in neighbors[cur] if k != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
+    for cur in neighbors[hub]:
+        prev, length = hub, 1
+        while len(neighbors[cur]) == 2:  # no other branch, so each arm is a chain
+            prev, cur = cur, neighbors[cur][neighbors[cur][0] == prev]
             length += 1
         arms.append(length)
     arms.sort()
-    if arms[:2] == [1, 1]:
+    if len(arms) == 3 and arms[:2] == [1, 1]:
         return ("D", rank)
-    if arms == [1, 2, 2]:
-        return ("E", 6)
-    if arms == [1, 2, 3]:
-        return ("E", 7)
-    if arms == [1, 2, 4]:
-        return ("E", 8)
-    raise RootDataError("unrecognized simply-laced Cartan matrix")
+    if len(arms) == 3 and arms[:2] == [1, 2] and arms[2] <= 4:
+        return ("E", rank)
+    raise RootDataError("the Cartan matrix is not of finite type: unrecognized branch")
 
 
 def identify_cartan(cartan: Sequence[Sequence[int]]) -> tuple[tuple[str, int], ...]:
@@ -511,6 +508,8 @@ def identify_cartan(cartan: Sequence[Sequence[int]]) -> tuple[tuple[str, int], .
     subsystem (weyl.RootIndex.cartan gives it from root strings).
     """
     n = len(cartan)
+    if any(row[i] != 2 for i, row in enumerate(cartan)):
+        raise RootDataError("the Cartan matrix is not of finite type: a diagonal entry is not 2")
     neighbors = [[j for j in compress(range(n), row) if j != i] for i, row in enumerate(cartan)]
     seen = [False] * n
     types = []
@@ -524,14 +523,6 @@ def identify_cartan(cartan: Sequence[Sequence[int]]) -> tuple[tuple[str, int], .
                 if not seen[j]:
                     seen[j] = True
                     nodes.append(j)
-        nodes.sort()
         types.append(_component_type(cartan, nodes, neighbors))
     types.sort(key=lambda t: (-t[1], t[0]))
     return tuple(types)
-
-
-def format_subsystem(types: Iterable[tuple[str, int]], residual_torus: int) -> str:
-    parts = [f"{letter}{rank}" for letter, rank in types]
-    if residual_torus:
-        parts.append(f"T{residual_torus}")
-    return "+".join(parts) if parts else "T0"

@@ -181,19 +181,28 @@ class RootIndex:
         # a pair lies inside members when no bit of it is outside
         return [k for k in self.indices(members) if all(map(outside.__and__, sums[k]))]
 
+    def string(self, step: int, key: int) -> int:
+        """The number of k >= 1 with key - k * step a root key: the steps
+        down the string of the root with key step through key.  A root
+        string has at most four roots, so the walk stops by itself."""
+        at, p = self.at, 0
+        key -= step
+        while key in at:
+            p += 1
+            key -= step
+        return p
+
     def cartan(self, indices: Sequence[int]) -> list[list[int]]:
         """The Cartan matrix of the given roots, no two of them opposite.
 
         Entry [i][j] is <root_j, root_i^vee> = p - q, where the root_i-string
         through root_j runs from root_j - p root_i to root_j + q root_i
         (Humphreys, Introduction to Lie Algebras and Representation Theory,
-        9.4).  A string has at most four roots, so p, q <= 3, each found by
-        key lookups.  Both strings of a pair are empty unless the sum or the
-        difference of the pair is a root, so only those pairs are walked;
-        the diagonal is 2.
+        9.4), both walked by string.  Both strings of a pair are empty
+        unless the sum or the difference of the pair is a root, so only
+        those pairs are walked; the diagonal is 2.
         """
-        at = self.at
-        has = at.__contains__
+        has, string = self.at.__contains__, self.string
         chosen = list(map(self.key.__getitem__, indices))
         n = len(chosen)
         out = [[0] * n for _ in range(n)]
@@ -204,12 +213,7 @@ class RootIndex:
         for i, j in compress(combinations(range(n), 2), joined):
             for row, col in ((i, j), (j, i)):
                 step, key = chosen[row], chosen[col]
-                p = q = 0
-                while p < 3 and key - (p + 1) * step in at:
-                    p += 1
-                while q < 3 and key + (q + 1) * step in at:
-                    q += 1
-                out[row][col] = p - q
+                out[row][col] = string(step, key) - string(-step, key)
         return out
 
 

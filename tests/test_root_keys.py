@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from quasisplit.chevalley import pinned_signs, root_norms, string_length
+from quasisplit.chevalley import pinned_signs, root_norms
 from quasisplit.rootdata import (
     KEY_COEFFICIENT_BOUND,
     RootDataError,
@@ -56,7 +56,7 @@ def test_integer_tables_match_vector_definitions(type_str):
     assert root_norms(rs, ri) == tuple(norm(rs, v) for v in roots)
     for a, alpha in enumerate(rs.positive_roots):
         for b, beta in enumerate(roots):
-            assert string_length(ri, a, b) == down_string_length(rs, alpha, beta)
+            assert ri.string(ri.key[a], ri.key[b]) == down_string_length(rs, alpha, beta)
     for aut in diagram_automorphisms(rs):
         pinned = pinned_signs(rs, aut)
         assert pinned.theta == tuple(index[on_root(aut, v)] for v in roots)
@@ -162,3 +162,41 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def test_every_definition_in_the_package_is_named_elsewhere():
+    # a function, method or class of the package that no code names outside
+    # its own definition is a dead copy: a deduplication left it behind
+    import ast
+    from collections import Counter
+
+    root = Path(__file__).resolve().parents[1]
+    package = root / "src" / "quasisplit"
+
+    def identifiers(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.name.rpartition(".")[2]
+
+    trees = {
+        path: ast.parse(path.read_text(), filename=str(path))
+        for top in ("src", "tests", "perfbench")
+        for path in sorted((root / top).rglob("*.py"))
+    }
+    named = Counter(name for tree in trees.values() for name in identifiers(tree))
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    definitions = [
+        (path, node) for path, tree in trees.items() if package in path.parents for node in ast.walk(tree)
+        if isinstance(node, kinds) and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+    assert len(definitions) > 100
+    unnamed = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, node in definitions
+        if named[node.name] == Counter(identifiers(node))[node.name]
+    ]
+    assert not unnamed, unnamed

@@ -10,6 +10,7 @@ from quasisplit.rootdata import (
     VALID_RANKS,
     RootDataError,
     RootSystem,
+    _simple_cartan,
     build_root_system,
     diagram_automorphisms,
     identify_cartan,
@@ -261,14 +262,105 @@ def test_identify_subsystem_long_and_short_g2():
     assert _both_routes(rs, short_simples) == (("A", 2),)
 
 
+def _cartan(rank, bonds):
+    """The matrix with 2 on the diagonal and cartan[i][j], cartan[j][i] = a, b
+    for each bond (i, j, a, b)."""
+    c = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
+    for i, j, a, b in bonds:
+        c[i][j], c[j][i] = a, b
+    return c
+
+
+def _branch(*arms):
+    """Single bonds only: node 0 joined to chains of the given lengths."""
+    bonds, node = [], 1
+    for length in arms:
+        prev = 0
+        for _ in range(length):
+            bonds.append((prev, node, -1, -1))
+            prev, node = node, node + 1
+    return _cartan(node, bonds)
+
+
+def _chain(rank, *multiple):
+    """A chain 0 - 1 - ... - rank-1 with the bonds (i, i+1, a, b) in place
+    of single ones."""
+    bonds = {i: (i, i + 1, -1, -1) for i in range(rank - 1)}
+    bonds.update((bond[0], bond) for bond in multiple)
+    return _cartan(rank, bonds.values())
+
+
+NO_FINITE_TYPE = {
+    "affine A2 (a cycle)": _cartan(3, [(0, 1, -1, -1), (1, 2, -1, -1), (0, 2, -1, -1)]),
+    "affine D4 (a node of degree four)": _branch(1, 1, 1, 1),
+    "affine G2": _chain(3, (1, 2, -1, -3)),
+    "affine B3": _cartan(4, [(0, 2, -1, -1), (1, 2, -1, -1), (2, 3, -1, -2)]),
+    "affine A1": [[2, -2], [-2, 2]],
+    "a (-1, -4) bond": [[2, -1], [-4, 2]],
+    "affine C2": _chain(3, (0, 1, -1, -2), (1, 2, -2, -1)),
+    "two double bonds": _chain(3, (0, 1, -1, -2), (1, 2, -1, -2)),
+    "affine F4": _chain(5, (2, 3, -1, -2)),
+    "affine D5": _cartan(6, [(0, 2, -1, -1), (1, 2, -1, -1), (2, 3, -1, -1), (3, 4, -1, -1), (3, 5, -1, -1)]),
+    "affine E6": _branch(2, 2, 2),
+    "affine E7": _branch(1, 3, 3),
+    "affine E8": _branch(1, 2, 5),
+    "a diagonal entry of 3": [[2, -1], [-1, 3]],
+}
+
+
 def test_identify_cartan_refuses_diagrams_of_no_finite_type():
-    # a cycle (affine A2) and a node of degree four (affine D4) are no
-    # Dynkin diagram; they are refused, not walked forever or mistyped
-    cycle = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
-    star = [[2, -1, -1, -1, -1]] + [[-1] + [2 * (i == j) for j in range(1, 5)] for i in range(1, 5)]
-    for cartan in (cycle, star):
-        with pytest.raises(RootDataError):
-            identify_cartan(cartan)
+    # no Dynkin diagram: refused, not walked forever or given a finite type
+    typed = {}
+    for name, cartan in NO_FINITE_TYPE.items():
+        try:
+            typed[name] = identify_cartan(cartan)
+        except RootDataError:
+            pass
+    assert not typed, typed
+
+
+def test_the_refused_diagrams_are_near_misses():
+    # each refused matrix is one node away from a finite type: deleting its
+    # last node leaves a Dynkin diagram, so the refusal is the recognizer's
+    expected = {
+        "affine A2 (a cycle)": ("A", 2),
+        "affine D4 (a node of degree four)": ("D", 4),
+        "affine G2": ("A", 2),
+        "affine B3": ("A", 3),
+        "affine A1": ("A", 1),
+        "a (-1, -4) bond": ("A", 1),
+        "affine C2": ("B", 2),
+        "two double bonds": ("B", 2),
+        "affine F4": ("B", 4),
+        "affine D5": ("D", 5),
+        "affine E6": ("E", 6),
+        "affine E7": ("E", 7),
+        "affine E8": ("E", 8),
+        "a diagonal entry of 3": ("A", 1),
+    }
+    assert expected.keys() == NO_FINITE_TYPE.keys()
+    for name, simple in expected.items():
+        cartan = NO_FINITE_TYPE[name]
+        assert identify_cartan([row[:-1] for row in cartan[:-1]]) == (simple,), name
+
+
+ALL_SIMPLE_TYPES = [(letter, rank) for letter, ranks in VALID_RANKS.items() for rank in ranks]
+
+
+@given(st.lists(st.sampled_from(ALL_SIMPLE_TYPES), min_size=1, max_size=2), st.data())
+def test_identify_cartan_is_blind_to_node_labels(components, data):
+    # a simple type, or a block sum of two, under a random node relabeling
+    blocks = [_simple_cartan(letter, rank) for letter, rank in components]
+    n = sum(map(len, blocks))
+    cartan = [[0] * n for _ in range(n)]
+    offset = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            cartan[offset + i][offset : offset + len(row)] = row
+        offset += len(block)
+    perm = data.draw(st.permutations(range(n)))
+    relabeled = [[cartan[p][q] for q in perm] for p in perm]
+    assert identify_cartan(relabeled) == tuple(sorted(components, key=lambda t: (-t[1], t[0])))
 
 
 def test_identify_subsystem_inside_a3():
