@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .chevalley import pinned_signs
 from .involution import Grading, InvolutionClass, grading_string
@@ -84,16 +84,25 @@ class IndexedGrading:
             return False
         if self.cls.is_inner:  # theta0 fixes every wall
             return True
-        return not self.complex_wall_blocks(chamber.walls, wall_mask, chamber.positive_mask)
+        return not self.complex_wall_blocks(bytes(chamber.walls), chamber.img[: self.ri.npos])
 
-    def complex_wall_blocks(self, walls: Sequence[int], wall_mask: int, positive_mask: int) -> bool:
+    @cached_property
+    def theta_table(self) -> bytes:
+        """theta as a bytes.translate table: theta followed by range(n, 256)."""
+        return bytes(self.theta) + bytes(range(len(self.theta), 256))
+
+    def complex_wall_blocks(self, walls: bytes, positive: bytes) -> bool:
         """Whether the theta0-partner of some wall is w-positive but not a wall.
 
-        walls, wall_mask and positive_mask are a chamber's walls, wall mask
-        and positive mask.  Only theta is read, so every grading of one
-        theta0 gives the same answer; it is False when theta0 is inner.
+        walls are a chamber's walls and positive its w-positive roots, the
+        entries img[:npos] of its image, both as bytes: the partners that
+        are no wall are the walls through theta_table with the walls
+        deleted, and one of them is w-positive when deleting them shortens
+        positive.  Only theta is read, so every grading of one theta0 gives
+        the same answer; it is False when theta0 is inner.
         """
-        return bool(self.theta_mask(walls) & positive_mask & ~wall_mask)
+        loose = walls.translate(self.theta_table).translate(None, walls)
+        return bool(loose) and len(positive.translate(None, loose)) < len(positive)
 
 
 @lru_cache(maxsize=None)

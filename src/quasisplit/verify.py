@@ -14,45 +14,51 @@ imaginary-signs   at every (class, chamber) pair where a wall-generic
                   imaginary subsystem all carry sign -1.
 support           every root has connected support in the diagram.
 
-The imaginary-signs check sweeps one chamber at a time.  It reads the
-chamber's walls and masks once, decides the complex-wall block of each
-outer theta0 once, and leaves one compact-wall test per class; the w-simple
-imaginary roots of a surviving inner pair are the walls themselves.  It
-accepts a fault-injection switch that flips one sign on purpose; a healthy
-detector must then produce at least one violation.
+The imaginary-signs check sweeps one Weyl coset block at a time, in
+columns: each wall of every chamber in a block is one bytes column, so the
+compact-wall test of a class, and the sign test of an inner class, whose
+w-simple imaginary roots are the walls themselves, is one table lookup per
+wall column.  Only the chambers where an outer class may survive are read
+one at a time, deciding the complex-wall block of each outer theta0 once.
+It accepts a fault-injection switch that flips one sign on purpose; a
+healthy detector must then produce at least one violation.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
+from operator import or_
+from typing import Iterator, Sequence
 
-from .classify import admits_generic_character, indexed_grading, unipotent_image_dim
+from .classify import IndexedGrading, admits_generic_character, indexed_grading, unipotent_image_dim
 from .involution import enumerate_involution_classes, find_class
 from .rootdata import VALID_RANKS, RootSystem, build_root_system, identity_automorphism, support_connected
 from .weyl import (
     EXHAUSTIVE_WEYL_BOUND,
-    Chamber,
-    all_chambers,
+    WeylError,
+    _first_reduced_word,
     identity_chamber,
     random_chambers,
     reflect,
     root_index,
+    weyl_blocks,
 )
 
 EXPECTED_EXCEPTIONAL_INNER = {"G2": 1, "F4": 2, "E6": 2, "E7": 3, "E8": 2}
 
 DEFAULT_SAMPLES = 2000
 DEFAULT_EXHAUSTIVE_CUTOFF = 2000
-# Largest --max-rank.  At default samples all checks take about 0.8 s at
-# rank 6 on a 2-vCPU VM and 1.1 s at rank 7, but at the --samples cap the
-# imaginary-signs sweep takes 6.2-7.0 s and 89 MB at rank 6 against
-# 15.4-16.0 s and 101 MB at rank 7, which would double the slowest run;
-# random_chambers takes most of the rank-6 run.
+# Largest --max-rank.  At default samples all checks take about 0.65 s at
+# rank 6 on a 2-vCPU VM and 0.85-1.0 s at rank 7, but at the --samples cap
+# the imaginary-signs sweep takes 4.7-5.3 s and 92 MB at rank 6 against
+# 11.8-14.7 s and 108 MB at rank 7, which would more than double the slowest
+# run; random_chambers takes most of the rank-6 run (5.7 of 6.0 s).
 MAX_VERIFY_RANK = 6
-# Largest --samples: the sampled sweep at --max-rank 6 takes about 4.4 s at
-# 20 000 samples on a 2-vCPU VM, 6.2-7.0 s at 25 000 and 8.8 s at 30 000.
+# Largest --samples: the sampled sweep at --max-rank 6 takes about 4.2-5.1 s
+# at 20 000 samples on a 2-vCPU VM, 4.7-5.3 s at 25 000 and 5.4-7.6 s at
+# 30 000.
 MAX_VERIFY_SAMPLES = 25_000
 
 
@@ -152,11 +158,142 @@ def check_principal(max_rank: int = 8) -> CheckResult:
     return CheckResult("principal", ok, details)
 
 
-def _chambers_for(rs: RootSystem, samples: int, seed: int, exhaustive: bool) -> tuple[Sequence[Chamber], str]:
-    order = rs.weyl_group_order()
-    if order <= DEFAULT_EXHAUSTIVE_CUTOFF or (exhaustive and order <= EXHAUSTIVE_WEYL_BOUND):
-        return all_chambers(rs), f"exhaustive ({order} chambers)"
-    return random_chambers(rs, samples, seed), f"sampled ({samples} chambers, seed {seed})"
+class _TypeSweep:
+    """What the imaginary-signs sweep of one simple type reads per class.
+
+    groups holds the classes grouped by theta0, in enumeration order, each
+    class with a 0/1 table of its compact roots and, for an inner class, of
+    the roots whose sign is not -1.  A table is 256 bytes long, for
+    bytes.translate.
+    """
+
+    def __init__(self, type_str: str, rs: RootSystem, gradings: Sequence[IndexedGrading]):
+        self.type_str, self.rs = type_str, rs
+        self.ri = root_index(rs)
+        pad = bytes(256 - len(rs.roots))
+        self.groups = [
+            (
+                aut.is_identity,
+                [
+                    (
+                        g,
+                        bytes(g.compact >> k & 1 for k in range(len(rs.roots))) + pad,
+                        bytes(sign != -1 for sign in g.signs) + pad if aut.is_identity else None,
+                    )
+                    for g in group
+                ],
+            )
+            for aut, group in itertools.groupby(gradings, lambda g: g.cls.aut)
+        ]
+        self.outer_simples: dict[int, list[int]] = {}
+
+    def simples(self, g: IndexedGrading, positive_mask: int) -> list[int]:
+        """The w-simple imaginary roots of an outer pair, kept per mask."""
+        key = g.imaginary & positive_mask
+        simples = self.outer_simples.get(key)
+        if simples is None:
+            simples = self.outer_simples[key] = self.ri.simples(key)
+        return simples
+
+
+class _Block:
+    """One block of chambers of a _TypeSweep, read in columns.
+
+    The block is the images of m chambers joined (weyl.weyl_blocks).  A set
+    of its chambers is m bytes, or an int read from them little-endian, with
+    byte c equal to 1 for chamber c.  Entry k of every chamber is the column
+    block[k::n], so a wall column passed through a table that marks some
+    roots with 1 and read as an int is the set of chambers with that wall
+    marked, and the OR over the wall columns the set of chambers with some
+    wall marked.  free[t][i] is the set of chambers where class i of theta0
+    group t has no compact wall; walls holds the walls of each chamber as a
+    row of rank bytes.
+    """
+
+    def __init__(self, sweep: _TypeSweep, block: bytes):
+        self.sweep, self.block = sweep, block
+        ri = sweep.ri
+        self.n = n = len(ri.key)
+        self.rank = rank = len(ri.simple)
+        self.m = m = len(block) // n
+        self.columns = columns = [block[k::n] for k in ri.simple]
+        rows = bytearray(m * rank)
+        for j, column in enumerate(columns):
+            rows[j::rank] = column
+        self.walls = bytes(rows)
+        every = int.from_bytes(b"\x01" * m, "little")
+        self.free = [
+            [(every & ~self.marked(compact)).to_bytes(m, "little") for _, compact, _ in classes]
+            for _, classes in sweep.groups
+        ]
+
+    def marked(self, table: bytes) -> int:
+        """The chambers with a wall that table marks."""
+        return functools.reduce(or_, [int.from_bytes(col.translate(table), "little") for col in self.columns])
+
+    def pairs(self, c: int, outer_only: bool) -> Iterator[tuple[IndexedGrading, list[int]]]:
+        """The surviving pairs at chamber c, in sweep order, each with its
+        w-simple imaginary roots; with outer_only, those of the outer theta0."""
+        sweep, rank, n = self.sweep, self.rank, self.n
+        walls = self.walls[c * rank : (c + 1) * rank]
+        positive = self.block[c * n : c * n + sweep.ri.npos]
+        positive_mask = None
+        for (inner, classes), free in zip(sweep.groups, self.free):
+            if inner:
+                if outer_only:
+                    continue
+            elif classes[0][0].complex_wall_blocks(walls, positive):
+                continue
+            for (g, _, _), chambers in zip(classes, free):
+                if not chambers[c]:
+                    continue
+                if inner:
+                    yield g, sorted(walls)
+                    continue
+                if positive_mask is None:
+                    positive_mask = sweep.ri.mask(positive)
+                yield g, sweep.simples(g, positive_mask)
+
+    def scan(self) -> tuple[int, int, int]:
+        """(pairs scanned, chambers with a surviving pair, chambers with a
+        violating pair), the chamber sets as ints."""
+        scanned = surviving = bad = candidates = 0
+        for (inner, classes), free in zip(self.sweep.groups, self.free):
+            for (_, _, unsigned), chambers in zip(classes, free):
+                chambers = int.from_bytes(chambers, "little")
+                if inner:
+                    # the pair survives with the walls as its w-simple roots
+                    scanned += chambers.bit_count()
+                    surviving |= chambers
+                    bad |= chambers & self.marked(unsigned)
+                else:
+                    candidates |= chambers
+        for c in itertools.compress(range(self.m), candidates.to_bytes(self.m, "little")):
+            chamber = 1 << 8 * c
+            for g, simples in self.pairs(c, outer_only=True):
+                scanned += 1
+                surviving |= chamber
+                signs = g.signs
+                if any(signs[k] != -1 for k in simples):
+                    bad |= chamber
+        return scanned, surviving, bad
+
+    def violations(self, c: int, word: bytes, fault: bool) -> list[str]:
+        """The violation lines of chamber c, whose word is word, in sweep
+        order.  With fault the first simple root of its first surviving pair
+        has its sign flipped: every pair has one, since theta0 fixes the
+        highest root and so one of plus or minus it is w-positive imaginary."""
+        lines = []
+        type_str, roots = self.sweep.type_str, self.sweep.rs.roots
+        for g, simples in self.pairs(c, outer_only=False):
+            for i, k in enumerate(simples):
+                sign = g.signs[k]
+                if fault and i == 0:
+                    sign = -sign
+                    fault = False
+                if sign != -1:
+                    lines.append(f"{type_str} class {g.cls.class_id} word {tuple(word)} root {roots[k]} sign {sign}")
+        return lines
 
 
 def check_imaginary_signs(
@@ -169,16 +306,21 @@ def check_imaginary_signs(
     """Sweep (class, chamber) pairs; where a generic character survives, the
     w-simple imaginary roots must all be noncompact.
 
-    Chambers come first, then the classes grouped by theta0, in enumeration
-    order.  Per chamber the walls and the wall mask are read once, and the
-    positive mask only when an outer theta0 is in scope.  Per (chamber,
-    theta0) the complex-wall block (IndexedGrading.complex_wall_blocks) is
-    decided once, since it does not depend on the grading; per class what is
-    left is the compact-wall test.  For a surviving inner pair the w-simple
-    imaginary roots are the walls in index order: w(positive roots) has
-    simple system w(simple roots).  For a surviving outer pair they are
-    RootIndex.simples of the w-positive imaginary roots, kept per type by
-    that mask.
+    Chambers come one Weyl coset block at a time (weyl.weyl_blocks), or as
+    one block of the sampled chambers, and are read in columns (_Block); an
+    exhaustive sweep that counts other than the group order of chambers
+    raises WeylError.  The compact-wall test of a class, and for an inner
+    class its sign test, is one table lookup per wall column of the block:
+    for an inner pair the w-simple imaginary roots are the walls, since
+    w(positive roots) has simple system w(simple roots).  The outer classes
+    go chamber by chamber over the chambers where one of them has no
+    compact wall: the complex-wall block (IndexedGrading.complex_wall_blocks)
+    is decided once per (chamber, theta0), and the w-simple imaginary roots
+    of a surviving pair are RootIndex.simples of the w-positive imaginary
+    roots, kept per type by that mask.  Only the chambers with a violation,
+    and the chamber of the first surviving pair when a fault is planted,
+    are swept again chamber by chamber to write their lines, with the first
+    reduced word of the chamber or the drawn word of a sampled one.
 
     For an inner pair the sign test only restates that
     IndexedGrading.signs agrees with compact: signs are read from compact,
@@ -194,46 +336,33 @@ def check_imaginary_signs(
     for type_str in simple_types_up_to(max_rank):
         rs = build_root_system(type_str)
         gradings = [indexed_grading(c, c.canonical_rep) for c in enumerate_involution_classes(rs)]
-        chambers, mode = _chambers_for(rs, samples, seed, exhaustive)
-        details.append(f"{type_str}: {mode}, {len(gradings)} classes")
-        by_theta0 = [
-            (aut.is_identity, list(group)) for aut, group in itertools.groupby(gradings, lambda g: g.cls.aut)
-        ]
-        has_outer = not all(inner for inner, _ in by_theta0)
-        outer_simples: dict[int, list[int]] = {}
-        ri = root_index(rs)
-        walls_of, bit, npos = ri.walls_of, ri.bits.__getitem__, ri.npos
-        for ch in chambers:
-            img = ch.img
-            walls = walls_of(img)
-            wall_mask = sum(map(bit, walls))
-            positive_mask = sum(map(bit, img[:npos])) if has_outer else 0
-            inner_simples = sorted(walls)
-            for inner, group in by_theta0:
-                if not inner and group[0].complex_wall_blocks(walls, wall_mask, positive_mask):
-                    continue
-                for g in group:
-                    if wall_mask & g.compact:
-                        continue
-                    scanned += 1
-                    if inner:
-                        simples = inner_simples
-                    else:
-                        key = g.imaginary & positive_mask
-                        simples = outer_simples.get(key)
-                        if simples is None:
-                            simples = outer_simples[key] = ri.simples(key)
-                    signs = g.signs
-                    for i, k in enumerate(simples):
-                        sign = signs[k]
-                        if fault_pending and i == 0:
-                            sign = -sign
-                            fault_pending = False
-                        if sign != -1:
-                            violations.append(
-                                f"{type_str} class {g.cls.class_id} word {tuple(ch.word)}"
-                                f" root {rs.roots[k]} sign {sign}"
-                            )
+        order = rs.weyl_group_order()
+        if order <= DEFAULT_EXHAUSTIVE_CUTOFF or (exhaustive and order <= EXHAUSTIVE_WEYL_BOUND):
+            drawn, blocks = None, weyl_blocks(rs)
+            details.append(f"{type_str}: exhaustive ({order} chambers), {len(gradings)} classes")
+        else:
+            drawn = random_chambers(rs, samples, seed)
+            blocks = [b"".join(ch.img for ch in drawn)]
+            details.append(f"{type_str}: sampled ({samples} chambers, seed {seed}), {len(gradings)} classes")
+        sweep = _TypeSweep(type_str, rs, gradings)
+        n = len(rs.roots)
+        swept = 0
+        for block in map(functools.partial(_Block, sweep), blocks):
+            pairs, surviving, bad = block.scan()
+            scanned += pairs
+            if fault_pending and surviving:
+                bad |= surviving & -surviving  # the chamber of the first surviving pair
+            # the chambers with a violation are swept again one at a time for their lines
+            for c in itertools.compress(range(block.m), bad.to_bytes(block.m, "little")):
+                if drawn is None:
+                    word = _first_reduced_word(sweep.ri, block.block[c * n : (c + 1) * n])
+                else:
+                    word = drawn[c].word
+                violations += block.violations(c, word, fault_pending)
+                fault_pending = False
+            swept += block.m
+        if drawn is None and swept != order:
+            raise WeylError(f"{type_str}: swept {swept} chambers of a group of order {order}")
     details.append(f"{scanned} surviving (class, chamber) pairs checked")
     if inject_fault:
         passed = len(violations) >= 1

@@ -26,8 +26,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .rootdata import KEY_COEFFICIENT_BOUND, RootSystem, Vector, key_units, root_key
 
 # all_chambers keeps every chamber of a group in memory, so it is kept under
-# this bound, the order of W(E6), the largest group a sweep enumerates;
-# larger groups are sampled.  weyl_images streams a group of any order.
+# this bound, the order of W(E6).  The imaginary-signs sweep enumerates groups
+# up to the same bound and samples larger ones; weyl_images and weyl_blocks
+# stream a group of any order.
 EXHAUSTIVE_WEYL_BOUND = 51_840
 # A byte table numbers at most 256 roots: every simple type of rank <= 11
 # and E8 (240 roots) fit, D12 (264 roots) does not.
@@ -276,12 +277,17 @@ class Chamber:
         return frozenset(map(self.rs.roots.__getitem__, self.img[: self.ri.npos]))
 
 
-def identity_chamber(rs: RootSystem) -> Chamber:
-    """The chamber of 1, where every chamber generator starts."""
+def _identity_image(rs: RootSystem) -> bytes:
+    """The image of 1; refuses more roots than a byte table holds."""
     n = len(rs.roots)
     if n > MAX_TABLE_ROOTS:
         raise WeylError(f"{n} roots exceed the bound {MAX_TABLE_ROOTS} of the chamber tables")
-    return Chamber(root_index(rs), b"", bytes(range(n)))
+    return bytes(range(n))
+
+
+def identity_chamber(rs: RootSystem) -> Chamber:
+    """The chamber of 1, where every chamber generator starts."""
+    return Chamber(root_index(rs), b"", _identity_image(rs))
 
 
 def _first_reduced_word(ri: RootIndex, img: bytes) -> bytes:
@@ -326,27 +332,52 @@ def _coset_tables(ri: RootIndex, k: int) -> list[bytes]:
     return [u + tail for u in found]
 
 
-def weyl_images(rs: RootSystem) -> Iterator[bytes]:
-    """Every Weyl group element once, as the bytes of its image.
+def _coset_walk(rs: RootSystem) -> tuple[list[bytes], list[bytes]]:
+    """W_{rank-1} as a list of images, and the minimal left coset
+    representatives of W_{rank-1} in W as tables.
 
     W_k = W^k W_{k-1} over the nodes k = 1, ..., rank, where W^k holds the
     minimal left coset representatives and lengths add (Bjorner and Brenti,
-    Combinatorics of Coxeter Groups, 2.4).  W_{rank-1} is built as a list;
-    the last level is streamed, one coset after another.  Refuses more roots
-    than a byte table holds before it returns.
+    Combinatorics of Coxeter Groups, 2.4).  The coset of a table u is
+    v.translate(u) over the listed v, in list order.  Refuses more roots
+    than a byte table holds.
     """
-    start = identity_chamber(rs)
-    ri = start.ri
+    identity = _identity_image(rs)
+    ri = root_index(rs)
     rank = len(ri.simple)
     if not rank:
-        return iter([start.img])
-    elements = [start.img]
+        return [identity], [bytes(range(256))]
+    elements = [identity]
     for k in range(1, rank):
         elements = [v.translate(table) for table in _coset_tables(ri, k) for v in elements]
-    return chain.from_iterable(map(bytes.translate, elements, repeat(table)) for table in _coset_tables(ri, rank))
+    return elements, _coset_tables(ri, rank)
 
 
-# A sweep needs one group at a time; a larger cache keeps every swept group
+def weyl_images(rs: RootSystem) -> Iterator[bytes]:
+    """Every Weyl group element once, as the bytes of its image.
+
+    W_{rank-1} is built as a list; the last level is streamed, one coset
+    after another (_coset_walk).  Refuses more roots than a byte table
+    holds before it returns.
+    """
+    elements, tables = _coset_walk(rs)
+    return chain.from_iterable(map(bytes.translate, elements, repeat(table)) for table in tables)
+
+
+def weyl_blocks(rs: RootSystem) -> Iterator[bytes]:
+    """The images of weyl_images, one coset of W_{rank-1} per bytes block.
+
+    A block is the images of its coset joined in weyl_images order, made by
+    one bytes.translate of the joined W_{rank-1}; with n roots, chamber c of
+    a block is block[c * n:(c + 1) * n] and block[k::n] holds entry k of
+    every chamber in it.  Refuses more roots than a byte table holds before
+    it returns.
+    """
+    elements, tables = _coset_walk(rs)
+    return map(b"".join(elements).translate, tables)
+
+
+# Callers read one group at a time; a larger cache keeps every group read
 # (up to 51 840 chambers each) alive until the process ends.
 @lru_cache(maxsize=1)
 def all_chambers(rs: RootSystem) -> tuple[Chamber, ...]:

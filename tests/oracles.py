@@ -19,7 +19,7 @@ from quasisplit import verify
 from quasisplit.chevalley import pinned_signs, structure_constants
 from quasisplit.involution import enumerate_involution_classes
 from quasisplit.rootdata import RootSystem, Vector, build_root_system, format_subsystem, identify_cartan
-from quasisplit.weyl import Chamber, folded_generators, identity_chamber, reflect
+from quasisplit.weyl import Chamber, all_chambers, folded_generators, identity_chamber, random_chambers, reflect
 
 
 def roots_by_reflection_closure(rs: RootSystem) -> frozenset[Vector]:
@@ -209,8 +209,10 @@ def imaginary_signs_by_pairs(
 
     Each (chamber, class) pair asks IndexedGrading.admits_generic on its own
     and reads the w-simple imaginary roots with RootIndex.simples, for inner
-    classes too.  The scope, the chambers and the gradings are read through
-    the verify module, so a test that patches them there patches both.
+    classes too.  The chambers are Chamber objects from all_chambers or
+    random_chambers, none from the sweep's blocks.  The scope, the gradings
+    and the exhaustive bounds are read through the verify module when
+    called, so a test that patches them there patches both.
     """
     violations = []
     scanned = 0
@@ -219,7 +221,11 @@ def imaginary_signs_by_pairs(
     for type_str in verify.simple_types_up_to(max_rank):
         rs = build_root_system(type_str)
         gradings = [verify.indexed_grading(c, c.canonical_rep) for c in enumerate_involution_classes(rs)]
-        chambers, mode = verify._chambers_for(rs, samples, seed, exhaustive)
+        order = rs.weyl_group_order()
+        if order <= verify.DEFAULT_EXHAUSTIVE_CUTOFF or (exhaustive and order <= verify.EXHAUSTIVE_WEYL_BOUND):
+            chambers, mode = all_chambers(rs), f"exhaustive ({order} chambers)"
+        else:
+            chambers, mode = random_chambers(rs, samples, seed), f"sampled ({samples} chambers, seed {seed})"
         details.append(f"{type_str}: {mode}, {len(gradings)} classes")
         for ch in chambers:
             for g in gradings:

@@ -1,6 +1,8 @@
+import ast
+
 import pytest
 
-from quasisplit import verify
+from quasisplit import verify, weyl
 from quasisplit.classify import IndexedGrading
 from quasisplit.involution import enumerate_involution_classes
 from quasisplit.rootdata import build_root_system
@@ -14,7 +16,7 @@ from quasisplit.verify import (
     simple_types_up_to,
     transport_orbit_partition,
 )
-from quasisplit.weyl import all_chambers
+from quasisplit.weyl import WeylError, all_chambers
 
 from oracles import imaginary_signs_by_pairs
 
@@ -56,11 +58,35 @@ def test_check_imaginary_signs_passes_small():
     assert any("exhaustive" in d for d in result.details)
 
 
-def test_exhaustive_sweep_keeps_one_group():
-    # a sweep needs one Weyl group at a time; the cache must not hold the rest
+def test_exhaustive_sweep_keeps_one_group(monkeypatch):
+    # a sweep reads one coset block of one Weyl group at a time: it fills no
+    # all_chambers cache entry and builds no Chamber object
+    built = []
+    init = weyl.Chamber.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(weyl.Chamber, "__init__", counted)
+    before = all_chambers.cache_info()
     result = check_imaginary_signs(max_rank=4, exhaustive=True)
     assert result.passed
-    assert all_chambers.cache_info().currsize <= 1
+    assert all(" exhaustive " in d for d in result.details[:-1])
+    assert all_chambers.cache_info() == before
+    assert built == []
+
+
+def test_short_walk_is_refused(monkeypatch):
+    # a sweep that covered fewer chambers than the group order it reports
+    # must not pass: drop the last coset block of A3 (4 blocks of 6)
+    def short(rs):
+        return list(weyl.weyl_blocks(rs))[:-1]
+
+    monkeypatch.setattr(verify, "weyl_blocks", short)
+    monkeypatch.setattr(verify, "simple_types_up_to", lambda max_rank: ["A3"])
+    with pytest.raises(WeylError, match="A3: swept 18 chambers of a group of order 24"):
+        check_imaginary_signs(max_rank=3)
 
 
 def test_empty_sweep_fails():
@@ -131,11 +157,11 @@ def test_violation_lines_print_words_as_tuples(monkeypatch):
 @pytest.mark.parametrize(
     "kwargs",
     [
-        *(dict(max_rank=6, samples=150, seed=seed) for seed in range(4)),
+        *(dict(max_rank=6, samples=150, seed=seed) for seed in (0, 1, 2, 3, 5)),
         dict(max_rank=5, exhaustive=True),
         dict(max_rank=3, inject_fault=True),
     ],
-    ids=["sampled-0", "sampled-1", "sampled-2", "sampled-3", "exhaustive", "fault"],
+    ids=["sampled-0", "sampled-1", "sampled-2", "sampled-3", "sampled-5", "exhaustive", "fault"],
 )
 def test_sweep_matches_the_pair_by_pair_oracle(kwargs):
     # the chamber-first sweep shares masks, the complex-wall block and the
@@ -161,3 +187,38 @@ def test_outer_class_fault_is_caught(monkeypatch):
     assert any(line.startswith("A3 class (13):- word ") for line in result.details[2:])
     # the roots named are the w-simple imaginary roots of each chamber
     assert (result.passed, result.details) == imaginary_signs_by_pairs(max_rank=3)
+
+
+@pytest.mark.parametrize(
+    "type_str, kind", [("A4", "inner"), ("A4", "outer"), ("B4", "inner")], ids=["A4-inner", "A4-outer", "B4-inner"]
+)
+def test_planted_signs_past_the_first_block(type_str, kind, monkeypatch):
+    # every class of one kind reads sign +1 on the roots with a negative
+    # coefficient at the last node.  The first coset block is W_{rank-1},
+    # which keeps that coefficient, so no wall or w-positive root of its
+    # chambers has one: every violation falls in the second block or later
+    rs = build_root_system(type_str)
+
+    def planted(cls, rep):
+        g = IndexedGrading(cls, rep)
+        if cls.is_inner == (kind == "inner"):
+            g.signs = tuple(abs(s) if v[-1] < 0 else s for s, v in zip(g.signs, rs.roots))
+        return g
+
+    monkeypatch.setattr(verify, "indexed_grading", planted)
+    monkeypatch.setattr(verify, "simple_types_up_to", lambda max_rank: [type_str])
+    result = check_imaginary_signs(max_rank=4, exhaustive=True)
+    assert (result.passed, result.details) == imaginary_signs_by_pairs(max_rank=4, exhaustive=True)
+    assert not result.passed
+    lines = result.details[2:]
+    assert lines and all(line.startswith(f"{type_str} class ") for line in lines)
+    by_class = {c.class_id: c for c in enumerate_involution_classes(rs)}
+    assert {by_class[line.split()[2]].is_inner for line in lines} == {kind == "inner"}
+    block = len(next(weyl.weyl_blocks(rs))) // len(rs.roots)
+    assert block < rs.weyl_group_order()
+    # all_chambers is the walk in block order, each chamber with the first
+    # reduced word that a violation line prints
+    position = {ch.word: k for k, ch in enumerate(all_chambers(rs))}
+    for line in lines:
+        word = ast.literal_eval(line.split(" word ")[1].split(" root ")[0])
+        assert position[bytes(word)] >= block
