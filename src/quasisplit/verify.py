@@ -15,11 +15,13 @@ imaginary-signs   at every (class, chamber) pair where a wall-generic
 support           every root has connected support in the diagram.
 
 The imaginary-signs check sweeps one Weyl coset block at a time, in
-columns: each wall of every chamber in a block is one bytes column, so the
+columns: each wall of every chamber in a block is one bytes column.  The
 compact-wall test of a class, and the sign test of an inner class, whose
-w-simple imaginary roots are the walls themselves, is one table lookup per
-wall column.  Only the chambers where an outer class may survive are read
-one at a time, deciding the complex-wall block of each outer theta0 once.
+w-simple imaginary roots are the walls themselves, are table lookups on
+the wall columns, with the tables of eight classes packed bitwise into
+one, so that one lookup per wall column tests eight classes.  Only the
+chambers where an outer class may survive are read one at a time,
+deciding the complex-wall block of each outer theta0 once.
 It accepts a fault-injection switch that flips one sign on purpose; a
 healthy detector must then produce at least one violation.
 """
@@ -50,15 +52,15 @@ EXPECTED_EXCEPTIONAL_INNER = {"G2": 1, "F4": 2, "E6": 2, "E7": 3, "E8": 2}
 
 DEFAULT_SAMPLES = 2000
 DEFAULT_EXHAUSTIVE_CUTOFF = 2000
-# Largest --max-rank.  At default samples all checks take about 0.65 s at
-# rank 6 on a 2-vCPU VM and 0.85-1.0 s at rank 7, but at the --samples cap
-# the imaginary-signs sweep takes 4.7-5.3 s and 92 MB at rank 6 against
-# 11.8-14.7 s and 108 MB at rank 7, which would more than double the slowest
-# run; random_chambers takes most of the rank-6 run (5.7 of 6.0 s).
+# Largest --max-rank.  At default samples all checks take about 0.3-0.45 s
+# at rank 6 on a 2-vCPU VM and 0.6-0.85 s at rank 7, but at the --samples
+# cap the imaginary-signs sweep takes 2.6-3.9 s and 92 MB at rank 6 against
+# 5.9-8.3 s and 106 MB at rank 7, which would about double the slowest run;
+# random_chambers takes most of the rank-6 run (3.0 of 3.4 s under cProfile).
 MAX_VERIFY_RANK = 6
-# Largest --samples: the sampled sweep at --max-rank 6 takes about 4.2-5.1 s
-# at 20 000 samples on a 2-vCPU VM, 4.7-5.3 s at 25 000 and 5.4-7.6 s at
-# 30 000.
+# Largest --samples: the sampled sweep at --max-rank 6 takes about 2.4-2.8 s
+# at 20 000 samples on a 2-vCPU VM (77 MB), 2.6-3.9 s at 25 000 (92 MB) and
+# 3.7-4.9 s at 30 000 (107 MB).
 MAX_VERIFY_SAMPLES = 25_000
 
 
@@ -162,29 +164,31 @@ class _TypeSweep:
     """What the imaginary-signs sweep of one simple type reads per class.
 
     groups holds the classes grouped by theta0, in enumeration order, each
-    class with a 0/1 table of its compact roots and, for an inner class, of
-    the roots whose sign is not -1.  A table is 256 bytes long, for
-    bytes.translate.
+    class as (j, grading) with j its place in that order.  The 0/1 tables of
+    eight classes at a time are packed into one 256-byte table for
+    bytes.translate, class j at bit j % 8 of pack j // 8: compact[p] marks
+    the compact roots of the classes of pack p, and unsigned[p] the roots
+    whose sign is not -1 for its inner classes (read from
+    IndexedGrading.signs, so planted signs show), or is None when the pack
+    has no inner class.
     """
 
     def __init__(self, type_str: str, rs: RootSystem, gradings: Sequence[IndexedGrading]):
         self.type_str, self.rs = type_str, rs
         self.ri = root_index(rs)
-        pad = bytes(256 - len(rs.roots))
         self.groups = [
-            (
-                aut.is_identity,
-                [
-                    (
-                        g,
-                        bytes(g.compact >> k & 1 for k in range(len(rs.roots))) + pad,
-                        bytes(sign != -1 for sign in g.signs) + pad if aut.is_identity else None,
-                    )
-                    for g in group
-                ],
-            )
-            for aut, group in itertools.groupby(gradings, lambda g: g.cls.aut)
+            (aut.is_identity, list(group))
+            for aut, group in itertools.groupby(enumerate(gradings), lambda jg: jg[1].cls.aut)
         ]
+        packs = [gradings[p : p + 8] for p in range(0, len(gradings), 8)]
+        self.compact = [_packed([_bit_bytes(g.compact, len(rs.roots)) for g in pack]) for pack in packs]
+        self.unsigned = [
+            _packed([bytes(map((-1).__ne__, g.signs)) if g.cls.is_inner else b"" for g in pack])
+            if any(g.cls.is_inner for g in pack)
+            else None
+            for pack in packs
+        ]
+        self.count = len(gradings)
         self.outer_simples: dict[int, list[int]] = {}
 
     def simples(self, g: IndexedGrading, positive_mask: int) -> list[int]:
@@ -196,18 +200,38 @@ class _TypeSweep:
         return simples
 
 
+_BIT_BYTE = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bit_bytes(mask: int, n: int) -> bytes:
+    """The bits of a mask of n roots as n bytes, byte k equal to bit k."""
+    return f"{mask:0{n}b}"[::-1].encode().translate(_BIT_BYTE)
+
+
+def _packed(tables: Sequence[bytes]) -> bytes:
+    """Up to eight 0/1 tables as one 256-byte table, bit i from tables[i].
+
+    Read little-endian, a table of 0/1 bytes is the int with bit 8k set for
+    each marked k, so shifting it by i moves its marks to bit i of each
+    byte, and no two tables share a bit.
+    """
+    return sum(int.from_bytes(t, "little") << i for i, t in enumerate(tables)).to_bytes(256, "little")
+
+
 class _Block:
     """One block of chambers of a _TypeSweep, read in columns.
 
     The block is the images of m chambers joined (weyl.weyl_blocks).  A set
     of its chambers is m bytes, or an int read from them little-endian, with
     byte c equal to 1 for chamber c.  Entry k of every chamber is the column
-    block[k::n], so a wall column passed through a table that marks some
-    roots with 1 and read as an int is the set of chambers with that wall
-    marked, and the OR over the wall columns the set of chambers with some
-    wall marked.  free[t][i] is the set of chambers where class i of theta0
-    group t has no compact wall; walls holds the walls of each chamber as a
-    row of rank bytes.
+    block[k::n].  A wall column passed through a packed table and read as
+    an int has bit i of byte c set when class i of the pack marks that wall
+    of chamber c, so the OR over the wall columns marks, for eight classes
+    at once, the chambers with some wall marked.  every, the set of all m
+    chambers, keeps bit 0 of each byte, so every & ~(hit >> i) is the set of
+    chambers where class i has none.  free[j] is the set of chambers
+    where class j of the sweep has no compact wall; walls holds the walls of
+    each chamber as a row of rank bytes.
     """
 
     def __init__(self, sweep: _TypeSweep, block: bytes):
@@ -222,30 +246,28 @@ class _Block:
             rows[j::rank] = column
         self.walls = bytes(rows)
         every = int.from_bytes(b"\x01" * m, "little")
-        self.free = [
-            [(every & ~self.marked(compact)).to_bytes(m, "little") for _, compact, _ in classes]
-            for _, classes in sweep.groups
-        ]
+        hits = list(map(self.marked, sweep.compact))
+        self.free = [(every & ~(hits[j >> 3] >> (j & 7))).to_bytes(m, "little") for j in range(sweep.count)]
 
     def marked(self, table: bytes) -> int:
-        """The chambers with a wall that table marks."""
+        """The OR over the wall columns of each column passed through table."""
         return functools.reduce(or_, [int.from_bytes(col.translate(table), "little") for col in self.columns])
 
     def pairs(self, c: int, outer_only: bool) -> Iterator[tuple[IndexedGrading, list[int]]]:
         """The surviving pairs at chamber c, in sweep order, each with its
         w-simple imaginary roots; with outer_only, those of the outer theta0."""
-        sweep, rank, n = self.sweep, self.rank, self.n
+        sweep, rank, n, free = self.sweep, self.rank, self.n, self.free
         walls = self.walls[c * rank : (c + 1) * rank]
         positive = self.block[c * n : c * n + sweep.ri.npos]
         positive_mask = None
-        for (inner, classes), free in zip(sweep.groups, self.free):
+        for inner, classes in sweep.groups:
             if inner:
                 if outer_only:
                     continue
-            elif classes[0][0].complex_wall_blocks(walls, positive):
+            elif classes[0][1].complex_wall_blocks(walls, positive):
                 continue
-            for (g, _, _), chambers in zip(classes, free):
-                if not chambers[c]:
+            for j, g in classes:
+                if not free[j][c]:
                     continue
                 if inner:
                     yield g, sorted(walls)
@@ -257,15 +279,17 @@ class _Block:
     def scan(self) -> tuple[int, int, int]:
         """(pairs scanned, chambers with a surviving pair, chambers with a
         violating pair), the chamber sets as ints."""
+        sweep, free = self.sweep, self.free
+        unsigned = [None if table is None else self.marked(table) for table in sweep.unsigned]
         scanned = surviving = bad = candidates = 0
-        for (inner, classes), free in zip(self.sweep.groups, self.free):
-            for (_, _, unsigned), chambers in zip(classes, free):
-                chambers = int.from_bytes(chambers, "little")
+        for inner, classes in sweep.groups:
+            for j, _ in classes:
+                chambers = int.from_bytes(free[j], "little")
                 if inner:
                     # the pair survives with the walls as its w-simple roots
                     scanned += chambers.bit_count()
                     surviving |= chambers
-                    bad |= chambers & self.marked(unsigned)
+                    bad |= chambers & (unsigned[j >> 3] >> (j & 7))
                 else:
                     candidates |= chambers
         for c in itertools.compress(range(self.m), candidates.to_bytes(self.m, "little")):
@@ -310,7 +334,8 @@ def check_imaginary_signs(
     one block of the sampled chambers, and are read in columns (_Block); an
     exhaustive sweep that counts other than the group order of chambers
     raises WeylError.  The compact-wall test of a class, and for an inner
-    class its sign test, is one table lookup per wall column of the block:
+    class its sign test, is a table lookup per wall column of the block,
+    one lookup for eight classes through their packed tables (_TypeSweep):
     for an inner pair the w-simple imaginary roots are the walls, since
     w(positive roots) has simple system w(simple roots).  The outer classes
     go chamber by chamber over the chambers where one of them has no

@@ -10,12 +10,15 @@ of s_i w is the image of w passed through a 256-byte table of s_i
 group is walked as a product of parabolic coset representatives: with
 W_k = <s_1, ..., s_k>, every element of W_k is u v for one minimal left
 coset representative u of W_{k-1} in W_k and one v in W_{k-1}, and the
-image of u v is the image of v passed through the image of u.  The sets a
+image of u v is the image of v passed through the image of u.  A sampled
+chamber is the product of a random word, composed two letters per
+bytes.translate through the tables of the products s_a s_b.  The sets a
 chamber decides, its walls and its w-positive roots, are int bitmasks.
 """
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property, lru_cache, partial, reduce
 from itertools import chain, combinations, compress, repeat, starmap
 from math import isqrt
@@ -409,10 +412,16 @@ def random_chambers(rs: RootSystem, count: int, seed: int) -> list[Chamber]:
     they are >= rank; getrandbits(32 * m) is the next m outputs, least
     significant first.  Nothing else draws from this generator, so drawing
     past the last letter changes nothing.
+
+    Each word is composed two letters per bytes.translate: the letters are
+    read as 16-bit codes, one per letter pair (a, b), and each code names
+    the table of s_a s_b, built once per call (rank**2 tables).  The word
+    length, 4 * npos or 4, is even, so no pair straddles two words and word
+    j is codes j * length / 2 up to (j + 1) * length / 2.
     """
     start = identity_chamber(rs)
     ri = start.ri
-    steps = (None, *ri.tables)  # indexed by letter
+    tables = ri.tables
     rank = rs.rank
     length = max(4, 4 * ri.npos)
     need = count * length
@@ -432,12 +441,20 @@ def random_chambers(rs: RootSystem, count: int, seed: int) -> list[Chamber]:
         m = (missing << k) // rank + isqrt(missing) + 1
         data = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
         letters += data[3::4].translate(letter_of, rejected)
+    # the table of s_a s_b applies s_b first, then s_a, keyed by the code
+    # that the letter pair (a, b) reads as in native byte order
+    pairs = {
+        int.from_bytes(bytes((a, b)), sys.byteorder): tables[b - 1].translate(tables[a - 1])
+        for a in range(1, rank + 1)
+        for b in range(1, rank + 1)
+    }
+    codes = memoryview(letters)[:need].cast("H")
+    half = length // 2
     out = []
     for at in range(0, need, length):
-        word = letters[at : at + length]
-        # s_{word[0]} ... s_{word[-1]}: the rightmost letter acts first
-        img = reduce(bytes.translate, map(steps.__getitem__, reversed(word)), start.img)
-        out.append(Chamber(ri, word, img))
+        # s_{word[0]} ... s_{word[-1]}: the rightmost pair acts first
+        pair_steps = map(pairs.__getitem__, reversed(codes[at // 2 : at // 2 + half]))
+        out.append(Chamber(ri, letters[at : at + length], reduce(bytes.translate, pair_steps, start.img)))
     return out
 
 

@@ -190,13 +190,16 @@ def test_outer_class_fault_is_caught(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "type_str, kind", [("A4", "inner"), ("A4", "outer"), ("B4", "inner")], ids=["A4-inner", "A4-outer", "B4-inner"]
+    "type_str, kind",
+    [("A4", "inner"), ("A4", "outer"), ("B4", "inner"), ("D4", "inner"), ("D4", "outer")],
+    ids=["A4-inner", "A4-outer", "B4-inner", "D4-inner", "D4-outer"],
 )
 def test_planted_signs_past_the_first_block(type_str, kind, monkeypatch):
     # every class of one kind reads sign +1 on the roots with a negative
     # coefficient at the last node.  The first coset block is W_{rank-1},
     # which keeps that coefficient, so no wall or w-positive root of its
-    # chambers has one: every violation falls in the second block or later
+    # chambers has one: every violation falls in the second block or later.
+    # D4 has 11 classes, so its class tests span two packed tables
     rs = build_root_system(type_str)
 
     def planted(cls, rep):

@@ -186,8 +186,8 @@ def test_random_chambers_deterministic():
 
 
 # ranks 1-8 take k = 1..4 bits per letter; ranks 1, 2, 4 and 8 reject half
-# of the draws, the others fewer
-DRAW_TYPES = ["A1", "B2", "A3", "F4", "A5", "E6", "E7", "E8", "A1+A1", "G2+A1"]
+# of the draws, the others fewer; A2+T1 has a central torus
+DRAW_TYPES = ["A1", "B2", "A3", "F4", "A5", "E6", "E7", "E8", "A1+A1", "G2+A1", "A2+T1"]
 
 
 @pytest.mark.parametrize("type_str", DRAW_TYPES)
@@ -196,11 +196,13 @@ def test_random_chambers_draw_randrange_letters(type_str, seed, count):
     rs = build_root_system(type_str)
     chambers = random_chambers(rs, count, seed)
     assert [tuple(ch.word) for ch in chambers] == randrange_words(rs, count, seed)
-    # the image composed from the left is the product of the word
-    ch = identity_chamber(rs)
-    for i in chambers[0].word:
-        ch = extend_chamber(ch, i)
-    assert chambers[0].img == ch.img
+    # each image, composed from the left two letters at a time, is the
+    # product of its word taken letter by letter from the right
+    for drawn in chambers:
+        ch = identity_chamber(rs)
+        for i in drawn.word:
+            ch = extend_chamber(ch, i)
+        assert drawn.img == ch.img
 
 
 class _CountingRandom(random.Random):
