@@ -13,9 +13,10 @@ lives in B2 with the two nodes swapped, rank-3 orthogonal data in A3, rank-2
 orthogonal data in A1+A1.
 
 The module also labels classes with classical real-form names, keyed by
-(type, inner/outer, fixed-subgroup dimension).  The labels are computed once
-per process from closed-form dimension formulas, never from the engine, so
-they can serve as an independent check.
+(type, inner/outer, fixed-subgroup dimension).  The labels of a simple type
+are built from closed-form dimension formulas the first time a class of that
+type is labeled, never from the engine, so they can serve as an independent
+check.
 """
 
 from __future__ import annotations
@@ -256,54 +257,57 @@ FAMILIES = {
 }
 
 
-@lru_cache(maxsize=1)
-def _real_form_table() -> dict[tuple[str, str, int], str]:
-    """Real-form labels from closed-form dimension formulas, rank <= 8.
+@lru_cache(maxsize=None)
+def _real_form_table(letter: str, rank: int) -> dict[tuple[str, int], str]:
+    """Real-form labels of one simple type from closed-form dimension
+    formulas, rank <= 8.
 
-    Keyed (type string, "inner" or "outer", fixed dim) -> label.  Compact
-    forms are excluded (the trivial class is labeled directly).  When two
-    distinct forms of one type share a fixed dimension the labels merge with
-    a tilde; this happens exactly once in scope, on D4.
+    Keyed ("inner" or "outer", fixed dim) -> label.  Compact forms are
+    excluded (the trivial class is labeled directly).  When two distinct
+    forms of the type share a fixed dimension the labels merge with a tilde;
+    this happens exactly once in scope, on D4.
     """
     max_rank = 8  # classes of rank 9 and above report as unlabeled
-    table: dict[tuple[str, str, int], str] = {}
+    table: dict[tuple[str, int], str] = {}
 
-    def put(type_str: str, kind: str, dim_k: int, label: str):
-        key = (type_str, kind, dim_k)
+    def put(kind: str, dim_k: int, label: str):
+        key = (kind, dim_k)
         if key not in table:
             table[key] = label
         elif label != table[key]:
             table[key] = f"{table[key]} ~ {label}"
 
-    for rank in range(1, max_rank + 1):
+    if rank > max_rank:
+        return table
+    if letter == "A":
         n = rank + 1
         for k in range(1, n // 2 + 1):
             m = n - k
-            put(f"A{rank}", "inner", m * m + k * k - 1, f"su({m},{k})")
-        put(f"A{rank}", "outer", n * (n - 1) // 2, f"sl({n},R)")
+            put("inner", m * m + k * k - 1, f"su({m},{k})")
+        put("outer", n * (n - 1) // 2, f"sl({n},R)")
         if n % 2 == 0:
             d = n // 2
-            put(f"A{rank}", "outer", d * (2 * d + 1), f"su*({2 * d})")
-    for k in range(2, max_rank + 1):
-        total = 2 * k + 1
-        for n in range(1, k + 1):
+            put("outer", d * (2 * d + 1), f"su*({2 * d})")
+    elif letter == "B":
+        total = 2 * rank + 1
+        for n in range(1, rank + 1):
             m = total - n
-            put(f"B{k}", "inner", (m * (m - 1) + n * (n - 1)) // 2, f"so({m},{n})")
-    for k in range(3, max_rank + 1):
-        for n in range(1, k // 2 + 1):
-            m = k - n
-            put(f"C{k}", "inner", m * (2 * m + 1) + n * (2 * n + 1), f"sp({m},{n})")
-        put(f"C{k}", "inner", k * k, f"sp({2 * k},R)")
-    for k in range(4, max_rank + 1):
-        total = 2 * k
-        for n in range(2, k + 1, 2):
+            put("inner", (m * (m - 1) + n * (n - 1)) // 2, f"so({m},{n})")
+    elif letter == "C":
+        for n in range(1, rank // 2 + 1):
+            m = rank - n
+            put("inner", m * (2 * m + 1) + n * (2 * n + 1), f"sp({m},{n})")
+        put("inner", rank * rank, f"sp({2 * rank},R)")
+    elif letter == "D":
+        total = 2 * rank
+        for n in range(2, rank + 1, 2):
             m = total - n
-            put(f"D{k}", "inner", (m * (m - 1) + n * (n - 1)) // 2, f"so({m},{n})")
-        put(f"D{k}", "inner", k * k, f"so*({2 * k})")
-        for n in range(1, k + 1, 2):
+            put("inner", (m * (m - 1) + n * (n - 1)) // 2, f"so({m},{n})")
+        put("inner", rank * rank, f"so*({2 * rank})")
+        for n in range(1, rank + 1, 2):
             m = total - n
             if m >= n:
-                put(f"D{k}", "outer", (m * (m - 1) + n * (n - 1)) // 2, f"so({m},{n})")
+                put("outer", (m * (m - 1) + n * (n - 1)) // 2, f"so({m},{n})")
     exceptional = {
         ("G2", "inner", 14): [6],
         ("F4", "inner", 52): [24, 36],
@@ -313,9 +317,9 @@ def _real_form_table() -> dict[tuple[str, str, int], str]:
         ("E8", "inner", 248): [120, 136],
     }
     for (type_str, kind, dim_g), dims in exceptional.items():
-        for dim_k in dims:
-            chi = dim_g - 2 * dim_k
-            put(type_str, kind, dim_k, f"{type_str[0].lower()}{type_str[1]}({chi})")
+        if type_str == f"{letter}{rank}":
+            for dim_k in dims:
+                put(kind, dim_k, f"{letter.lower()}{rank}({dim_g - 2 * dim_k})")
     return table
 
 
@@ -330,5 +334,6 @@ def real_form_label(cls: InvolutionClass) -> str:
     rs = cls.rs
     if len(rs.components) != 1 or rs.central_torus_dim:
         return "unlabeled"
+    ((letter, rank),) = rs.components
     kind = "inner" if cls.is_inner else "outer"
-    return _real_form_table().get((type_string(rs), kind, fixed_group_dim(cls)), "unlabeled")
+    return _real_form_table(letter, rank).get((kind, fixed_group_dim(cls)), "unlabeled")

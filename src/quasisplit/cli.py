@@ -21,8 +21,8 @@ import os
 import sys
 
 from .catalog import FAMILIES, real_form_label
-from .classify import classify_involution
-from .involution import enumerate_involution_classes, merge_diagram_conjugates
+from .classify import classify_involution, fixed_group_dim
+from .involution import enumerate_involution_classes, grading_string, merge_diagram_conjugates
 from .rootdata import RootDataError, build_root_system, type_string
 from .verify import CHECKS, DEFAULT_SAMPLES, MAX_VERIFY_RANK, MAX_VERIFY_SAMPLES, run_checks
 
@@ -31,7 +31,9 @@ def _check_tool_threads() -> None:
     raw = os.environ.get("TOOL_THREADS")
     if raw is None:
         return
-    if not raw.isdigit() or int(raw) < 1:
+    try:
+        _positive_int(raw)
+    except argparse.ArgumentTypeError:
         print(f"TOOL_THREADS must be a positive integer, got {raw!r}", file=sys.stderr)
         raise SystemExit(2)
 
@@ -88,19 +90,17 @@ def cmd_involutions(args) -> int:
         if args.json:
             _print_json([{"representative": _class_record(rep), "members": list(ids)} for rep, ids in groups])
             return 0
-        rows = []
-        for rep, ids in groups:
-            rec = _class_record(rep)
-            rows.append(
-                [
-                    _display_id(rep),
-                    str(len(ids)),
-                    "yes" if rep.quasi_split else "no",
-                    str(rec["dim_fixed"]),
-                    rec["real_form"],
-                    " ".join(i or "1" for i in ids),
-                ]
-            )
+        rows = [
+            [
+                _display_id(rep),
+                str(len(ids)),
+                "yes" if rep.quasi_split else "no",
+                str(fixed_group_dim(rep)),
+                real_form_label(rep),
+                " ".join(i or "1" for i in ids),
+            ]
+            for rep, ids in groups
+        ]
         print(f"root system {type_string(rs)}: {len(groups)} classes up to diagram conjugacy")
         print(_render_table(["class", "size", "quasi-split", "dim-fixed", "real-form", "members"], rows))
         return 0
@@ -108,20 +108,18 @@ def cmd_involutions(args) -> int:
     if args.json:
         _print_json([_class_record(c) for c in classes])
         return 0
-    rows = []
-    for cls in classes:
-        rec = _class_record(cls)
-        rows.append(
-            [
-                _display_id(cls),
-                rec["theta0"],
-                rec["grading"],
-                str(rec["orbit_size"]),
-                "yes" if rec["quasi_split"] else "no",
-                str(rec["dim_fixed"]),
-                rec["real_form"],
-            ]
-        )
+    rows = [
+        [
+            _display_id(cls),
+            cls.aut.cycle_string(),
+            grading_string(cls.canonical_rep),
+            str(cls.orbit_size),
+            "yes" if cls.quasi_split else "no",
+            str(fixed_group_dim(cls)),
+            real_form_label(cls),
+        ]
+        for cls in classes
+    ]
     print(
         f"root system {type_string(rs)}: dim {rs.dim_group()},"
         f" {len(classes)} involution classes"
@@ -265,7 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("checks", nargs="*", metavar="check",
                    help=f"checks to run: {', '.join(CHECKS)}, all (default: all)")
     p.add_argument("--max-rank", type=_positive_int, default=6,
-                   help=f"largest rank swept, at most {MAX_VERIFY_RANK}")
+                   help=f"largest rank of the imaginary-signs sweep, at most {MAX_VERIFY_RANK};"
+                   " principal and support always cover rank <= max(this, 8),"
+                   " and counts the five exceptional types")
     p.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES,
                    help=f"random chambers per type too large to enumerate, at most {MAX_VERIFY_SAMPLES}")
     p.add_argument("--seed", type=int, default=0)

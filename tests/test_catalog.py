@@ -175,16 +175,20 @@ def test_real_form_labels_cover_rank_8():
 
 
 def test_real_form_table_exceptional_entries():
-    table = _real_form_table()
+    assert _real_form_table("E", 6) == {
+        ("inner", 38): "e6(2)", ("inner", 46): "e6(-14)", ("outer", 36): "e6(6)", ("outer", 52): "e6(-26)",
+    }
+    assert _real_form_table("G", 2) == {("inner", 6): "g2(2)"}
+    assert _real_form_table("F", 4) == {("inner", 24): "f4(4)", ("inner", 36): "f4(-20)"}
+    assert _real_form_table("D", 4)["inner", 16] == "so(6,2) ~ so*(8)"
 
-    def entries(type_str, kind):
-        return {dim: label for (t, k, dim), label in table.items() if (t, k) == (type_str, kind)}
 
-    assert entries("E6", "inner") == {38: "e6(2)", 46: "e6(-14)"}
-    assert entries("E6", "outer") == {36: "e6(6)", 52: "e6(-26)"}
-    assert entries("G2", "inner") == {6: "g2(2)"}
-    assert entries("F4", "inner") == {24: "f4(4)", 36: "f4(-20)"}
-    assert table["D4", "inner", 16] == "so(6,2) ~ so*(8)"
+def test_real_form_tables_per_type():
+    # one table per simple type through rank 8, none beyond
+    sizes = {t: len(_real_form_table(t[0], int(t[1:]))) for t in simple_types_up_to(8)}
+    assert all(sizes.values())
+    assert sum(sizes.values()) == 134
+    assert _real_form_table("A", 9) == _real_form_table("D", 9) == {}
 
 
 def test_family_guards():

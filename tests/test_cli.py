@@ -6,7 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from quasisplit.cli import main
+from quasisplit.classify import k_subsystem
+from quasisplit.cli import _class_record, _render_table, main
+from quasisplit.involution import enumerate_involution_classes, merge_diagram_conjugates
+from quasisplit.rootdata import build_root_system
+from quasisplit.verify import simple_types_up_to
 
 
 def run_cli(capsys, *argv):
@@ -55,6 +59,63 @@ def test_involutions_merge(capsys):
     assert "5 classes up to diagram conjugacy" in out
     assert "+++- ++-+ ++--" in out
     assert "(34):+- (13):+- (14):+-" in out
+
+
+# Every simple type of rank <= 8, and products with central tori.
+TABLE_TYPES = simple_types_up_to(8) + ["A1+T1+A1", "G2+A1+T1", "D4+A2", "E6+A2", "A3+A1+T2"]
+
+
+def _reference_table(type_str: str, merged: bool) -> list[str]:
+    """The table's lines, every cell read from the full record of its class."""
+    rs = build_root_system(type_str)
+    if merged:
+        groups = merge_diagram_conjugates(rs)
+        rows = []
+        for rep, ids in groups:
+            rec = _class_record(rep)
+            rows.append([
+                rec["class_id"] or "1", str(len(ids)), "yes" if rec["quasi_split"] else "no",
+                str(rec["dim_fixed"]), rec["real_form"], " ".join(i or "1" for i in ids),
+            ])
+        head = f"root system {rec['root_system']}: {len(groups)} classes up to diagram conjugacy"
+        columns = ["class", "size", "quasi-split", "dim-fixed", "real-form", "members"]
+    else:
+        classes = enumerate_involution_classes(rs)
+        rows = []
+        for cls in classes:
+            rec = _class_record(cls)
+            rows.append([
+                rec["class_id"] or "1", rec["theta0"], rec["grading"], str(rec["orbit_size"]),
+                "yes" if rec["quasi_split"] else "no", str(rec["dim_fixed"]), rec["real_form"],
+            ])
+        head = (
+            f"root system {rec['root_system']}: dim {rec['dim_group']},"
+            f" {len(classes)} involution classes"
+        )
+        columns = ["class", "theta0", "grading", "orbit", "quasi-split", "dim-fixed", "real-form"]
+    return [head, *_render_table(columns, rows).splitlines()]
+
+
+@pytest.mark.parametrize("type_str", TABLE_TYPES)
+def test_tables_match_the_full_class_records(capsys, type_str):
+    for flags in ([], ["--merge-diagram-conjugate"]):
+        code, out, err = run_cli(capsys, "involutions", type_str, *flags)
+        assert code == 0 and not err
+        assert out.splitlines() == _reference_table(type_str, merged=bool(flags)), flags
+
+
+@pytest.mark.parametrize("type_str", TABLE_TYPES)
+def test_tables_do_not_type_the_compact_subsystem(capsys, type_str):
+    # neither table prints k_type, so neither may compute it; with the cache
+    # cleared, every call would count as a miss
+    for flags in ([], ["--merge-diagram-conjugate"]):
+        k_subsystem.cache_clear()
+        assert run_cli(capsys, "involutions", type_str, *flags)[0] == 0
+        assert k_subsystem.cache_info().misses == 0, flags
+    # --json prints k_type, so the probe does see its computation
+    k_subsystem.cache_clear()
+    assert run_cli(capsys, "involutions", type_str, "--json")[0] == 0
+    assert k_subsystem.cache_info().misses > 0
 
 
 def test_zero_root_systems(capsys):
@@ -290,7 +351,17 @@ def test_tool_threads_validation(capsys, monkeypatch):
         main(["catalog"])
     assert exc.value.code == 2
     capsys.readouterr()
+    # a superscript digit passes str.isdigit but not int()
+    monkeypatch.setenv("TOOL_THREADS", "\u00b2")
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog"])
+    assert exc.value.code == 2
+    assert "TOOL_THREADS must be a positive integer" in capsys.readouterr().err
     monkeypatch.setenv("TOOL_THREADS", "4")
+    assert main(["catalog"]) == 0
+    capsys.readouterr()
+    # an Arabic-Indic three, which int() reads as 3
+    monkeypatch.setenv("TOOL_THREADS", "\u0663")
     assert main(["catalog"]) == 0
     capsys.readouterr()
 

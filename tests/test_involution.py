@@ -1,6 +1,10 @@
+import random
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
+from quasisplit.catalog import real_form_label
 from quasisplit.classify import indexed_grading
 from quasisplit.involution import (
     InvolutionClass,
@@ -10,7 +14,12 @@ from quasisplit.involution import (
     merge_diagram_conjugates,
     trivial_class,
 )
-from quasisplit.rootdata import build_root_system, diagram_automorphisms, identity_automorphism
+from quasisplit.rootdata import (
+    DiagramAutomorphism,
+    build_root_system,
+    diagram_automorphisms,
+    identity_automorphism,
+)
 from quasisplit.verify import simple_types_up_to
 
 from oracles import diagonal_sign_orbits, grading_orbits_by_tuples
@@ -195,6 +204,73 @@ def test_outer_swap_class_on_product():
     assert len(outer) == 1
     assert outer[0].class_id == "(12)"
     assert outer[0].quasi_split
+
+
+def _seeded_products(seed: int, count: int) -> list[str]:
+    """Products of two or three simple factors of total rank <= 6; about
+    half repeat a factor, so that some theta0 swap two factors, and about
+    two thirds carry a central torus."""
+    rng = random.Random(seed)
+    products = []
+    while len(products) < count:
+        factors = [rng.choice(simple_types_up_to(4)) for _ in range(rng.choice((2, 3)))]
+        if rng.random() < 0.5:
+            factors[-1] = factors[0]
+        if sum(int(f[1:]) for f in factors) <= 6:
+            products.append("+".join(factors) + rng.choice(("", "+T1", "+T2")))
+    return products
+
+
+def _quasi_split_form(label: str) -> bool:
+    """Whether the named real form is quasi-split, read from its name alone
+    (Helgason, ch. X): the split forms, su(p,p), su(p+1,p), so(p,q) with
+    |p - q| <= 2 and e6(2).  The compact form is not quasi-split."""
+    name = label.split(" ~ ")[0]
+    if m := re.fullmatch(r"(su|so)\((\d+),(\d+)\)", name):
+        return int(m[2]) - int(m[3]) <= (1 if m[1] == "su" else 2)
+    if m := re.fullmatch(r"[efg](\d)\((-?\d+)\)", name):
+        return m[1] == m[2] or name == "e6(2)"
+    return re.fullmatch(r"(sl|sp)\(\d+,R\)", name) is not None
+
+
+def _factor_classes(cls: InvolutionClass) -> tuple[list[InvolutionClass], int]:
+    """The class that cls restricts to on each factor theta0 maps to itself,
+    found from the canonical sign vector's entries on that factor, and the
+    number of factors theta0 moves."""
+    signs = dict(zip(cls.fixed_nodes, cls.canonical_rep))
+    factors, moved, offset = [], 0, 0
+    for letter, rank in cls.rs.components:
+        nodes = range(offset + 1, offset + rank + 1)
+        images = tuple(cls.aut.apply(i) - offset for i in nodes)
+        if all(1 <= j <= rank for j in images):
+            rep = tuple(signs[i] for i in nodes if i in signs)
+            factors.append(find_class(build_root_system(f"{letter}{rank}"), DiagramAutomorphism(images), rep))
+        else:
+            assert not signs.keys() & set(nodes)  # a moved factor has no fixed node
+            moved += 1
+        offset += rank
+    return factors, moved
+
+
+def test_product_class_is_quasi_split_iff_every_factor_is():
+    moved = tori = 0
+    for type_str in _seeded_products(18, 14):
+        rs = build_root_system(type_str)
+        tori += rs.central_torus_dim > 0
+        classes = enumerate_involution_classes(rs)
+        for cls in classes:
+            factors, swapped = _factor_classes(cls)
+            moved += swapped
+            for f in factors:  # each factor's answer against the known list
+                assert f.quasi_split == _quasi_split_form(real_form_label(f)), (type_str, f.class_id)
+            # a pair of factors that theta0 swaps adds no condition
+            assert cls.quasi_split == all(f.quasi_split for f in factors), (type_str, cls.class_id)
+        # a further central torus changes no class id and no answer
+        wider = build_root_system(rs.components, rs.central_torus_dim + 1)
+        assert [(c.class_id, c.quasi_split) for c in enumerate_involution_classes(wider)] == [
+            (c.class_id, c.quasi_split) for c in classes
+        ]
+    assert moved and tori  # the draw reaches both cases
 
 
 @given(st.sampled_from(["A2", "A3", "B2", "B3", "G2", "A1+A1"]), st.data())
