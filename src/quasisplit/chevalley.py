@@ -12,15 +12,21 @@ read from root keys (rootdata.root_key), and the relations are solved in
 exact integers.
 
 A diagram automorphism theta0 lifts to the algebra fixing the simple root
-vectors; on the remaining root vectors it acts by signs c(a) computed
-inductively.  PinnedSigns holds theta0 as a root-index permutation and c
-per root index, which the involution enumeration and classification read.
+vectors; on the remaining root vectors it acts by signs c(a).  PinnedSigns
+holds theta0 as a root-index permutation, the mask of the theta0-fixed
+(imaginary) roots and the mask of those with c = -1, which the involution
+enumeration and classification read.  All three are read from the Dynkin
+diagram, with no structure constants: on a fixed root c is -1 exactly when
+its support holds a node that theta0 swaps with an adjacent node (Kac,
+Infinite-Dimensional Lie Algebras, ch. 8).  PinnedSigns.signs, c on every
+root, is the checked inductive recursion over the structure constants,
+run on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add
 
 from .rootdata import DiagramAutomorphism, RootSystem, Vector, root_key
@@ -165,58 +171,82 @@ def structure_constants(rs: RootSystem) -> StructureConstants:
 class PinnedSigns:
     """theta0 and the signs c with theta(X_a) = c(a) X_{theta0 a} for the pinned lift.
 
-    theta[k] is the root index of theta0(root_k) and signs[k] is c(root_k);
-    c(-a) = c(a).  c is +1 on simple roots and on everything when theta0 is
-    the identity, and the identity case skips the structure constants.
-    imaginary is the mask of the theta0-fixed roots and minus the mask of
-    those among them with c = -1.
+    theta[k] is the root index of theta0(root_k), imaginary is the mask of
+    the theta0-fixed roots and minus the mask of those among them with
+    c = -1, all three read from the diagram.  c on a fixed root space does
+    not depend on how the other root vectors are normalized: it is -1
+    exactly on the fixed roots whose support holds a node that theta0
+    swaps with an adjacent node (Kac, Infinite-Dimensional Lie Algebras,
+    ch. 8, the A_2n exception).  That happens only at the middle pair of
+    an A_2n component that theta0 flips, whose coefficients are 0 or 1.
+
+    signs[k] is c(root_k) on every root, c(-a) = c(a): the checked
+    recursion over the structure constants, run on first read.  c is +1 on
+    simple roots, and on everything when theta0 is the identity, which
+    skips the structure constants.
     """
 
     rs: RootSystem
     aut: DiagramAutomorphism
     theta: tuple[int, ...] = field(compare=False)
-    signs: tuple[int, ...] = field(compare=False)
     imaginary: int = field(compare=False)
     minus: int = field(compare=False)
+
+    @cached_property
+    def signs(self) -> tuple[int, ...]:
+        """c(a) for all roots, by induction on height, checking consistency throughout.
+
+        c(gamma) = c(mu) c(nu) N(theta0 mu, theta0 nu) / N(mu, nu) for the
+        extraspecial pair gamma = mu + nu, and the same identity is checked
+        for every other decomposition.  Also checks c(a) c(theta0 a) = 1,
+        which makes the lift an involution when theta0 is.
+        """
+        rs, theta = self.rs, self.theta
+        if self.aut.is_identity:
+            return (1,) * len(rs.roots)
+        ri = root_index(rs)
+        n = structure_constants(rs).pos
+        signs = [1] * ri.npos
+        for gamma in range(ri.npos):
+            value = None
+            for alpha, beta in _positive_pairs(ri, gamma):
+                top = signs[alpha] * signs[beta] * n[(theta[alpha], theta[beta])]
+                q, r = divmod(top, n[(alpha, beta)])
+                if r or q not in (1, -1):
+                    raise ChevalleyError(f"sign at {rs.roots[gamma]} is not a unit")
+                if value is None:
+                    value = q
+                elif value != q:
+                    raise ChevalleyError(f"sign at {rs.roots[gamma]} depends on the decomposition")
+            if value is not None:
+                signs[gamma] = value
+        if self.aut.order <= 2:
+            for gamma in range(ri.npos):
+                if signs[gamma] * signs[theta[gamma]] != 1:
+                    raise ChevalleyError(f"pinned lift fails to square to one at {rs.roots[gamma]}")
+        return tuple(signs) * 2
 
 
 @lru_cache(maxsize=None)
 def pinned_signs(rs: RootSystem, aut: DiagramAutomorphism) -> PinnedSigns:
-    """Compute c(a) for all positive roots, checking consistency throughout.
+    """theta0 on root indices, its fixed roots and the fixed roots with c = -1.
 
-    Induction on height: c(gamma) = c(mu) c(nu) N(theta0 mu, theta0 nu) / N(mu, nu)
-    for the extraspecial pair gamma = mu + nu, and the same identity is
-    checked for every other decomposition.  Also checks c(a) c(theta0 a) = 1,
-    which makes the lift an involution when theta0 is.
+    Nothing here builds structure constants: the signs on every root are
+    PinnedSigns.signs, computed when first read.
     """
     n = len(rs.roots)
     if aut.is_identity:
-        return PinnedSigns(rs, aut, tuple(range(n)), (1,) * n, (1 << n) - 1, 0)
+        return PinnedSigns(rs, aut, tuple(range(n)), (1 << n) - 1, 0)
     ri = root_index(rs)
     # theta0 moves coefficient i to node perm[i], so unit i to unit perm[i]
     moved = tuple(ri.units[j - 1] for j in aut.perm)
     theta = tuple(ri.at[root_key(v, moved)] for v in rs.positive_roots)
     theta += tuple(k + ri.npos for k in theta)
-    n = structure_constants(rs).pos
-    signs = [1] * ri.npos
-    for gamma in range(ri.npos):
-        value = None
-        for alpha, beta in _positive_pairs(ri, gamma):
-            top = signs[alpha] * signs[beta] * n[(theta[alpha], theta[beta])]
-            q, r = divmod(top, n[(alpha, beta)])
-            if r or q not in (1, -1):
-                raise ChevalleyError(f"sign at {rs.roots[gamma]} is not a unit")
-            if value is None:
-                value = q
-            elif value != q:
-                raise ChevalleyError(f"sign at {rs.roots[gamma]} depends on the decomposition")
-        if value is not None:
-            signs[gamma] = value
-    if aut.order <= 2:
-        for gamma in range(ri.npos):
-            if signs[gamma] * signs[theta[gamma]] != 1:
-                raise ChevalleyError(f"pinned lift fails to square to one at {rs.roots[gamma]}")
-    npos = ri.npos
-    fixed = [k for k in range(npos) if theta[k] == k]
-    imaginary, minus = ri.mask(fixed), ri.mask(k for k in fixed if signs[k] == -1)
-    return PinnedSigns(rs, aut, theta, tuple(signs) * 2, imaginary | imaginary << npos, minus | minus << npos)
+    imaginary = ri.mask(k for k in range(ri.npos) if theta[k] == k)
+    imaginary |= imaginary << ri.npos
+    # adjacent swapped nodes lie in a flipped A_2n, where odd means nonzero
+    odd = 0
+    for i, j in enumerate(aut.perm, 1):
+        if j != i and rs.adjacent(i, j):
+            odd |= ri.odd_masks[i - 1]
+    return PinnedSigns(rs, aut, theta, imaginary, imaginary & odd)

@@ -207,8 +207,33 @@ def test_identity_pinning_is_trivial():
         rs = build_root_system(type_str)
         before = structure_constants.cache_info()
         signs = pinned_signs(rs, identity_automorphism(rs))
-        assert structure_constants.cache_info() == before
         assert signs.signs == (1,) * len(rs.roots)
+        assert structure_constants.cache_info() == before
+
+
+# Every simple type with a nonidentity diagram automorphism that the CLI
+# accepts, D4's triality included, and products that flip an A_2n component
+# or swap components.
+CLOSED_FORM_TYPES = (
+    [f"A{n}" for n in range(2, 19)]
+    + [f"D{n}" for n in range(4, 19)]
+    + ["E6", "A4+A4+A2", "A2+A1+A2", "A2+A2+A2", "A3+A3", "A6+T1+A6", "D4+A2", "D5+D5", "E6+A2"]
+)
+
+
+@pytest.mark.parametrize("type_str", CLOSED_FORM_TYPES)
+def test_minus_read_from_the_diagram_matches_the_recursion(type_str):
+    # minus comes from the diagram, signs from the checked recursion over the
+    # structure constants: on the fixed roots, c = -1 exactly on minus
+    rs = build_root_system(type_str)
+    ri = root_index(rs)
+    auts = [aut for aut in diagram_automorphisms(rs) if not aut.is_identity]
+    assert auts
+    for aut in auts:
+        pinned = pinned_signs(rs, aut)
+        fixed = [k for k, j in enumerate(pinned.theta) if j == k]
+        assert pinned.imaginary == ri.mask(fixed)
+        assert pinned.minus == ri.mask(k for k in fixed if pinned.signs[k] == -1), aut.perm
 
 
 @pytest.mark.parametrize("type_str", PINNED_ORACLE_TYPES)

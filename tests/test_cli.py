@@ -1,16 +1,22 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import quasisplit
+from quasisplit.chevalley import pinned_signs, structure_constants
 from quasisplit.classify import k_subsystem
 from quasisplit.cli import _class_record, _render_table, main
 from quasisplit.involution import enumerate_involution_classes, merge_diagram_conjugates
-from quasisplit.rootdata import build_root_system
+from quasisplit.rootdata import build_root_system, diagram_automorphisms
 from quasisplit.verify import simple_types_up_to
+
+from oracles import pinned_signs_by_vectors
 
 
 def run_cli(capsys, *argv):
@@ -116,6 +122,42 @@ def test_tables_do_not_type_the_compact_subsystem(capsys, type_str):
     k_subsystem.cache_clear()
     assert run_cli(capsys, "involutions", type_str, "--json")[0] == 0
     assert k_subsystem.cache_info().misses > 0
+
+
+def _clear_package_caches():
+    for info in pkgutil.iter_modules(quasisplit.__path__):
+        for value in vars(importlib.import_module(f"quasisplit.{info.name}")).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
+OUTER_TYPES = ["A5", "D5", "E6", "A2+A2"]
+
+
+def test_requests_build_no_structure_constants(capsys):
+    # pinned_signs reads theta0's minus mask from the diagram, so no request
+    # builds the constants; only reading PinnedSigns.signs does
+    requests = [["family", "GL-orthogonal", "6"], ["family", "SO-pair", "5", "5"], ["verify"]]
+    for type_str in OUTER_TYPES:
+        for flags in ([], ["--json"], ["--merge-diagram-conjugate"]):
+            requests.append(["involutions", type_str, *flags])
+        for cls in enumerate_involution_classes(build_root_system(type_str)):
+            if not cls.is_inner:
+                requests.append(["report", type_str, "--", cls.class_id])
+    for request in requests:
+        _clear_package_caches()
+        code, out, err = run_cli(capsys, *request)
+        assert code == 0 and out and not err, request
+        assert structure_constants.cache_info().misses == 0, request
+    for type_str in OUTER_TYPES:
+        rs = build_root_system(type_str)
+        for aut in diagram_automorphisms(rs):
+            if aut.is_identity:
+                continue
+            _clear_package_caches()
+            signs = pinned_signs(rs, aut).signs
+            assert structure_constants.cache_info().misses == 1
+            assert dict(zip(rs.positive_roots, signs)) == pinned_signs_by_vectors(rs, aut)
 
 
 def test_zero_root_systems(capsys):
