@@ -8,9 +8,9 @@ the adjoint group) does not see; the FamilyClass wrapper adds it back to the
 dimension counts, split when the involution inverts it and compact-or-fixed
 otherwise.
 
-Low ranks fall back to isomorphic small root systems: rank-2 symplectic data
-lives in B2 with the two nodes swapped, rank-3 orthogonal data in A3, rank-2
-orthogonal data in A1+A1.
+Low ranks fall back to isomorphic small root systems, each stated once in
+one table: B1 and C1 are A1, C2 is B2 with the two nodes swapped, D2 is
+A1+A1, and D3 is A3 with nodes 1 and 2 swapped.
 
 The module also labels classes with classical real-form names, keyed by
 (type, inner/outer, fixed-subgroup dimension).  The labels of a simple type
@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from .classify import fixed_group_dim, split_rank as engine_split_rank
 from .involution import DiagramAutomorphism, InvolutionClass, find_class
-from .rootdata import MAX_RANK, build_root_system, identity_automorphism, type_string
+from .rootdata import MAX_RANK, build_root_system, type_string
 
 
 @dataclass(frozen=True)
@@ -73,52 +73,31 @@ def _engine_rank(rank: int, valid: bool, needs: str, *params: int) -> int:
     return rank
 
 
-def _inner(type_str: str, grading) -> InvolutionClass:
-    rs = build_root_system(type_str)
-    return find_class(rs, identity_automorphism(rs), tuple(grading))
+# The low-rank types no engine type is named after, each as an isomorphic
+# engine type and the nominal node that each of its nodes carries.
+_LOW_RANK = {
+    ("B", 1): ("A1", (1,)),
+    ("C", 1): ("A1", (1,)),
+    ("C", 2): ("B2", (2, 1)),
+    ("D", 2): ("A1+A1", (1, 2)),
+    ("D", 3): ("A3", (2, 1, 3)),
+}
+# theta0 of a family's outer class, as a node permutation of its nominal type
+_FLIPS = {"A": lambda rank: tuple(range(rank, 0, -1)), "D": lambda rank: (*range(1, rank - 1), rank, rank - 1)}
 
 
-def _a_flip(rank: int, middle_sign: int | None) -> InvolutionClass:
-    """Flip class of A_rank; for rank 1 the flip degenerates to an inner class."""
-    rs = build_root_system(f"A{rank}")
-    aut = DiagramAutomorphism(tuple(range(rank, 0, -1)))
-    rep = () if middle_sign is None else (middle_sign,)
-    return find_class(rs, aut, rep)
-
-
-def _c_inner(k: int, grading) -> InvolutionClass:
-    if k >= 3:
-        return _inner(f"C{k}", grading)
-    if k == 2:
-        return _inner("B2", (grading[1], grading[0]))
-    return _inner("A1", grading)
-
-
-def _b_inner(k: int, grading) -> InvolutionClass:
-    if k >= 2:
-        return _inner(f"B{k}", grading)
-    return _inner("A1", grading)
-
-
-def _d_inner(k: int, grading) -> InvolutionClass:
-    if k >= 4:
-        return _inner(f"D{k}", grading)
-    if k == 3:
-        return _inner("A3", (grading[1], grading[0], grading[2]))
-    return _inner("A1+A1", grading)
-
-
-def _d_flip(k: int, fixed_grading) -> InvolutionClass:
-    if k >= 4:
-        rs = build_root_system(f"D{k}")
-        perm = list(range(1, k + 1))
-        perm[k - 2], perm[k - 1] = perm[k - 1], perm[k - 2]
-        return find_class(rs, DiagramAutomorphism(tuple(perm)), tuple(fixed_grading))
-    if k == 3:
-        rs = build_root_system("A3")
-        return find_class(rs, DiagramAutomorphism((3, 2, 1)), tuple(fixed_grading))
-    rs = build_root_system("A1+A1")
-    return find_class(rs, DiagramAutomorphism((2, 1)), ())
+def _class(letter: str, rank: int, grading, flip: bool = False) -> InvolutionClass:
+    """The class of the nominal type letter + rank whose theta0 is the
+    identity, or the family's flip, and whose grading on the nodes theta0
+    fixes, in node order, is grading.  A low-rank type is read through
+    its isomorphism in _LOW_RANK."""
+    perm = _FLIPS[letter](rank) if flip else tuple(range(1, rank + 1))
+    type_str, nodes = _LOW_RANK.get((letter, rank), (f"{letter}{rank}", tuple(range(1, rank + 1))))
+    sign = dict(zip([v for v in range(1, rank + 1) if perm[v - 1] == v], grading))
+    engine_node = {v: i for i, v in enumerate(nodes, 1)}
+    aut = DiagramAutomorphism(tuple(engine_node[perm[v - 1]] for v in nodes))
+    rep = tuple(sign[v] for v in nodes if perm[v - 1] == v)
+    return find_class(build_root_system(type_str), aut, rep)
 
 
 def gl_linear(m: int, n: int) -> FamilyClass:
@@ -130,7 +109,7 @@ def gl_linear(m: int, n: int) -> FamilyClass:
         params=(m, n),
         ambient=f"GL{m + n}",
         description=f"conjugation by diag(1^{m}, -1^{n})",
-        cls=_inner(f"A{rank}", grading),
+        cls=_class("A", rank, grading),
         center_fixed_dim=1,
     )
 
@@ -150,7 +129,7 @@ def gl_symplectic(n: int) -> FamilyClass:
         params=(n,),
         ambient=f"GL{2 * n}",
         description="transpose-inverse twisted by a symplectic form",
-        cls=_a_flip(rank, 1),
+        cls=_class("A", rank, (1,), flip=True),
         center_split_dim=1,
     )
 
@@ -158,13 +137,12 @@ def gl_symplectic(n: int) -> FamilyClass:
 def gl_orthogonal(n: int) -> FamilyClass:
     """GL(n) with g -> g^-t; fixed group O(n), center inverted."""
     rank = _engine_rank(n - 1, n >= 2, "gl_orthogonal needs n >= 2", n)
-    middle = -1 if rank % 2 == 1 else None
     return FamilyClass(
         family="GL_orthogonal",
         params=(n,),
         ambient=f"GL{n}",
         description="transpose-inverse",
-        cls=_a_flip(rank, middle),
+        cls=_class("A", rank, (-1,) * (rank % 2), flip=True),
         center_split_dim=1,
     )
 
@@ -178,7 +156,7 @@ def sp_gl(n: int) -> FamilyClass:
         params=(n,),
         ambient=f"Sp{2 * n}",
         description="conjugation by the scalar-i element; fixed group GL(n)",
-        cls=_c_inner(n, grading),
+        cls=_class("C", n, grading),
     )
 
 
@@ -191,7 +169,7 @@ def so_gl(n: int) -> FamilyClass:
         params=(n,),
         ambient=f"SO{2 * n}",
         description="conjugation by a complex structure; fixed group GL(n)",
-        cls=_d_inner(n, grading),
+        cls=_class("D", n, grading),
     )
 
 
@@ -212,17 +190,17 @@ def so_pair(m: int, n: int) -> FamilyClass:
         p = even // 2
         t = [-1] * p + [1] * (k - p)
         grading = tuple(t[i] * t[i + 1] for i in range(k - 1)) + (t[k - 1],)
-        cls = _b_inner(k, grading)
+        cls = _class("B", k, grading)
     elif m % 2 == 0:
         p = min(m, n) // 2
         t = [-1] * p + [1] * (k - p)
         grading = tuple(t[i] * t[i + 1] for i in range(k - 1)) + (t[k - 2] * t[k - 1],)
-        cls = _d_inner(k, grading)
+        cls = _class("D", k, grading)
     else:
         p = (min(m, n) - 1) // 2
         t = [-1] * p + [1] * (k - p)
         grading = tuple(t[i] * t[i + 1] for i in range(k - 2))
-        cls = _d_flip(k, grading)
+        cls = _class("D", k, grading, flip=True)
     return FamilyClass(
         family="SO_pair",
         params=(m, n),
@@ -241,7 +219,7 @@ def sp_pair(m: int, n: int) -> FamilyClass:
         params=(m, n),
         ambient=f"Sp{2 * k}",
         description=f"conjugation by the (1^{2 * m}, -1^{2 * n}) block element",
-        cls=_c_inner(k, grading),
+        cls=_class("C", k, grading),
     )
 
 

@@ -20,7 +20,9 @@ diagram, with no structure constants: on a fixed root c is -1 exactly when
 its support holds a node that theta0 swaps with an adjacent node (Kac,
 Infinite-Dimensional Lie Algebras, ch. 8).  PinnedSigns.signs, c on every
 root, is the checked inductive recursion over the structure constants,
-run on first read.
+run on first read.  PinnedSigns also decides theta0's clause of the
+generic-character test at a chamber (PinnedSigns.complex_wall_blocks),
+which every grading of theta0 shares.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import add
+from typing import Iterable
 
 from .rootdata import DiagramAutomorphism, RootSystem, Vector, root_key
 from .weyl import RootIndex, root_index
@@ -225,6 +228,29 @@ class PinnedSigns:
                 if signs[gamma] * signs[theta[gamma]] != 1:
                     raise ChevalleyError(f"pinned lift fails to square to one at {rs.roots[gamma]}")
         return tuple(signs) * 2
+
+    @cached_property
+    def theta_table(self) -> bytes:
+        """theta as a bytes.translate table: theta followed by range(n, 256)."""
+        return bytes(self.theta) + bytes(range(len(self.theta), 256))
+
+    def theta_mask(self, indices: Iterable[int]) -> int:
+        """Bitmask of theta0 applied to the given root indices."""
+        return root_index(self.rs).mask(map(self.theta.__getitem__, indices))
+
+    def complex_wall_blocks(self, walls: bytes, positive: bytes) -> bool:
+        """Whether the theta0-partner of some wall is w-positive but not a wall.
+
+        The theta0 clause of the generic-character test
+        (classify.IndexedGrading.admits_generic), shared by every grading of
+        theta0.  walls are a chamber's walls and positive its w-positive
+        roots, the entries img[:npos] of its image, both as bytes: the
+        partners that are no wall are the walls through theta_table with the
+        walls deleted, and one of them is w-positive when deleting them
+        shortens positive.  It is False when theta0 is inner.
+        """
+        loose = walls.translate(self.theta_table).translate(None, walls)
+        return bool(loose) and len(positive.translate(None, loose)) < len(positive)
 
 
 @lru_cache(maxsize=None)

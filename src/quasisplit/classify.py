@@ -6,19 +6,19 @@ no root is sent to its negative here).  Imaginary roots carry a sign eps
 built from the pinned signs and the grading vector; eps = +1 marks root
 spaces inside the fixed subgroup.
 
-IndexedGrading is the one per-root table of a (class, grading): theta0 as a
-permutation of root indices (see weyl.root_index) and the imaginary and
-compact imaginary roots as bitmasks, built by XOR of per-node parity masks;
-eps per root index is read from the two masks.  Root counts, dimensions, the
-compact subsystem type, the unipotent dimensions at a chamber and the
-generic-character test are all read from it.
+IndexedGrading is the one per-root table of a (class, grading): the
+imaginary and compact imaginary roots as bitmasks (see weyl.root_index),
+built by XOR of per-node parity masks, and eps per root index read from the
+two masks; what depends on theta0 alone is read from its
+chevalley.PinnedSigns.  Root counts, dimensions, the compact subsystem
+type, the unipotent dimensions at a chamber and the generic-character test
+are all read from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable
 
 from .chevalley import pinned_signs
 from .involution import Grading, InvolutionClass, grading_string
@@ -29,9 +29,9 @@ from .weyl import Chamber, root_index
 class IndexedGrading:
     """One class at one grading, in root-index form (see weyl.root_index).
 
-    theta is theta0 as a permutation of root indices, and imaginary and
-    compact the bitmasks of the imaginary and of the compact imaginary
-    roots; signs[k] is the eps of root k read from them (0 on complex roots).
+    pinned is the PinnedSigns of theta0, and imaginary and compact the
+    bitmasks of the imaginary and of the compact imaginary roots; signs[k]
+    is the eps of root k read from them (0 on complex roots).
 
     eps of an imaginary root is its pinned sign times the grading signs at
     the fixed-node coefficients; swapped-node coefficients never contribute
@@ -47,8 +47,7 @@ class IndexedGrading:
             raise ValueError(f"grading {grading_string(rep)} is not in the orbit of class {cls.class_id!r}")
         self.cls = cls
         self.ri = ri = root_index(cls.rs)
-        pinned = pinned_signs(cls.rs, cls.aut)
-        self.theta = pinned.theta
+        self.pinned = pinned = pinned_signs(cls.rs, cls.aut)
         odd_masks, parity = ri.odd_masks, 0
         for node, s in zip(cls.fixed_nodes, rep):
             if s == -1:
@@ -62,12 +61,8 @@ class IndexedGrading:
         on complex ones.  Assignable, so a test can plant wrong signs."""
         imaginary, compact = self.imaginary, self.compact
         return tuple(
-            (compact >> k & 1) * 2 - 1 if imaginary >> k & 1 else 0 for k in range(len(self.theta))
+            (compact >> k & 1) * 2 - 1 if imaginary >> k & 1 else 0 for k in range(len(self.ri.key))
         )
-
-    def theta_mask(self, indices: Iterable[int]) -> int:
-        """Bitmask of theta0 applied to the given root indices."""
-        return self.ri.mask(map(self.theta.__getitem__, indices))
 
     def admits_generic(self, chamber: Chamber) -> bool:
         """Whether some wall-generic character kills the fixed unipotent part.
@@ -77,32 +72,11 @@ class IndexedGrading:
         (the wall space again lies in the image).  A complex wall pair only
         forces the character to vanish on a diagonal, which generic
         characters can dodge.  The first block depends on the grading, the
-        second only on theta0 (complex_wall_blocks).
+        second only on theta0 (PinnedSigns.complex_wall_blocks).
         """
-        wall_mask = chamber.wall_mask
-        if wall_mask & self.compact:
+        if chamber.wall_mask & self.compact:
             return False
-        if self.cls.is_inner:  # theta0 fixes every wall
-            return True
-        return not self.complex_wall_blocks(bytes(chamber.walls), chamber.img[: self.ri.npos])
-
-    @cached_property
-    def theta_table(self) -> bytes:
-        """theta as a bytes.translate table: theta followed by range(n, 256)."""
-        return bytes(self.theta) + bytes(range(len(self.theta), 256))
-
-    def complex_wall_blocks(self, walls: bytes, positive: bytes) -> bool:
-        """Whether the theta0-partner of some wall is w-positive but not a wall.
-
-        walls are a chamber's walls and positive its w-positive roots, the
-        entries img[:npos] of its image, both as bytes: the partners that
-        are no wall are the walls through theta_table with the walls
-        deleted, and one of them is w-positive when deleting them shortens
-        positive.  Only theta is read, so every grading of one theta0 gives
-        the same answer; it is False when theta0 is inner.
-        """
-        loose = walls.translate(self.theta_table).translate(None, walls)
-        return bool(loose) and len(positive.translate(None, loose)) < len(positive)
+        return not self.pinned.complex_wall_blocks(bytes(chamber.walls), chamber.img[: self.ri.npos])
 
 
 @lru_cache(maxsize=None)
@@ -142,7 +116,7 @@ def root_counts(cls: InvolutionClass) -> tuple[int, int, int]:
     g = indexed_grading(cls, cls.canonical_rep)
     compact = g.compact.bit_count()
     imaginary = g.imaginary.bit_count()
-    return compact, imaginary - compact, len(g.theta) - imaginary
+    return compact, imaginary - compact, len(g.ri.key) - imaginary
 
 
 def fixed_group_dim(cls: InvolutionClass) -> int:
@@ -215,7 +189,7 @@ def unipotent_fixed_dim(cls: InvolutionClass, rep: Grading, chamber: Chamber) ->
     g = indexed_grading(cls, rep)
     positive = chamber.positive_mask
     complex_positive = positive & ~g.imaginary
-    pairs = complex_positive & g.theta_mask(g.ri.indices(complex_positive))
+    pairs = complex_positive & g.pinned.theta_mask(g.ri.indices(complex_positive))
     return (g.compact & positive).bit_count() + pairs.bit_count() // 2
 
 
@@ -229,7 +203,7 @@ def unipotent_image_dim(cls: InvolutionClass, rep: Grading, chamber: Chamber) ->
     """
     g = indexed_grading(cls, rep)
     walls = chamber.wall_mask
-    partners = g.theta_mask(g.ri.indices(walls & ~g.imaginary))
+    partners = g.pinned.theta_mask(g.ri.indices(walls & ~g.imaginary))
     interior = partners & chamber.positive_mask & ~walls
     shared = partners & walls
     return (g.compact & walls).bit_count() + interior.bit_count() + shared.bit_count() // 2

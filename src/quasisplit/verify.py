@@ -21,9 +21,11 @@ w-simple imaginary roots are the walls themselves, are table lookups on
 the wall columns, with the tables of eight classes packed bitwise into
 one, so that one lookup per wall column tests eight classes.  Only the
 chambers where an outer class may survive are read one at a time,
-deciding the complex-wall block of each outer theta0 once.
-It accepts a fault-injection switch that flips one sign on purpose; a
-healthy detector must then produce at least one violation.
+deciding the complex-wall block of each outer theta0 once, through its
+PinnedSigns.  Only a chamber with a violation gets lines: its pairs are
+asked one at a time through IndexedGrading.admits_generic, the library's
+pair rule.  It accepts a fault-injection switch that flips one sign on
+purpose; a healthy detector must then produce at least one violation.
 """
 
 from __future__ import annotations
@@ -32,15 +34,15 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from operator import or_
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .classify import IndexedGrading, admits_generic_character, indexed_grading, unipotent_image_dim
 from .involution import enumerate_involution_classes, find_class
 from .rootdata import VALID_RANKS, RootSystem, build_root_system, identity_automorphism, support_connected
 from .weyl import (
     EXHAUSTIVE_WEYL_BOUND,
+    Chamber,
     WeylError,
-    _first_reduced_word,
     identity_chamber,
     random_chambers,
     reflect,
@@ -161,24 +163,24 @@ def check_principal(max_rank: int = 8) -> CheckResult:
 
 
 class _TypeSweep:
-    """What the imaginary-signs sweep of one simple type reads per class.
+    """The imaginary-signs sweep of one simple type, one block of chambers at
+    a time (scan).
 
-    groups holds the classes grouped by theta0, in enumeration order, each
-    class as (j, grading) with j its place in that order.  The 0/1 tables of
-    eight classes at a time are packed into one 256-byte table for
-    bytes.translate, class j at bit j % 8 of pack j // 8: compact[p] marks
-    the compact roots of the classes of pack p, and unsigned[p] the roots
-    whose sign is not -1 for its inner classes (read from
-    IndexedGrading.signs, so planted signs show), or is None when the pack
-    has no inner class.
+    groups holds the classes grouped by their theta0's PinnedSigns, in
+    enumeration order, each class as (j, grading) with j its place in that
+    order.  The 0/1 tables of eight classes at a time are packed into one
+    256-byte table for bytes.translate, class j at bit j % 8 of pack
+    j // 8: compact[p] marks the compact roots of the classes of pack p,
+    and unsigned[p] the roots whose sign is not -1 for its inner classes
+    (read from IndexedGrading.signs, so planted signs show), or is None
+    when the pack has no inner class.
     """
 
-    def __init__(self, type_str: str, rs: RootSystem, gradings: Sequence[IndexedGrading]):
-        self.type_str, self.rs = type_str, rs
+    def __init__(self, rs: RootSystem, gradings: Sequence[IndexedGrading]):
         self.ri = root_index(rs)
         self.groups = [
-            (aut.is_identity, list(group))
-            for aut, group in itertools.groupby(enumerate(gradings), lambda jg: jg[1].cls.aut)
+            (pinned, list(group))
+            for pinned, group in itertools.groupby(enumerate(gradings), lambda jg: jg[1].pinned)
         ]
         packs = [gradings[p : p + 8] for p in range(0, len(gradings), 8)]
         self.compact = [_packed([_bit_bytes(g.compact, len(rs.roots)) for g in pack]) for pack in packs]
@@ -188,7 +190,6 @@ class _TypeSweep:
             else None
             for pack in packs
         ]
-        self.count = len(gradings)
         self.outer_simples: dict[int, list[int]] = {}
 
     def simples(self, g: IndexedGrading, positive_mask: int) -> list[int]:
@@ -198,6 +199,66 @@ class _TypeSweep:
         if simples is None:
             simples = self.outer_simples[key] = self.ri.simples(key)
         return simples
+
+    def scan(self, block: bytes) -> tuple[int, int, int]:
+        """(pairs scanned, chambers with a surviving pair, chambers with a
+        violating pair) of a block of chambers, the chamber sets as ints.
+
+        The block is the images of m chambers joined (weyl.weyl_blocks).  A
+        set of its chambers is m bytes, or an int read from them
+        little-endian, with byte c equal to 1 for chamber c.  Entry k of
+        every chamber is the column block[k::n].  A wall column passed
+        through a packed table and read as an int has bit i of byte c set
+        when class i of the pack marks that wall of chamber c, so the OR
+        over the wall columns marks, for eight classes at once, the chambers
+        with some wall marked; every, the set of all m chambers, keeps bit 0
+        of each byte, so every & ~(hit >> i) is the set of chambers where
+        class i has no compact wall.  An inner pair there survives with the
+        walls as its w-simple roots.  The outer classes go chamber by
+        chamber over the chambers where one of them has no compact wall,
+        deciding the complex-wall block of each outer theta0 once.
+        """
+        ri = self.ri
+        n, npos = len(ri.key), ri.npos
+        m = len(block) // n
+        columns = [block[k::n] for k in ri.simple]
+
+        def marked(table: bytes) -> int:
+            return functools.reduce(or_, [int.from_bytes(col.translate(table), "little") for col in columns])
+
+        every = int.from_bytes(b"\x01" * m, "little")
+        hits = list(map(marked, self.compact))
+        unsigned = [None if table is None else marked(table) for table in self.unsigned]
+        scanned = surviving = bad = candidates = 0
+        outer = []
+        for pinned, classes in self.groups:
+            free = [(j, g, every & ~(hits[j >> 3] >> (j & 7))) for j, g in classes]
+            if pinned.aut.is_identity:
+                for j, _, chambers in free:
+                    scanned += chambers.bit_count()
+                    surviving |= chambers
+                    bad |= chambers & (unsigned[j >> 3] >> (j & 7))
+            else:
+                candidates = functools.reduce(or_, [chambers for _, _, chambers in free], candidates)
+                outer.append((pinned, [(g, chambers.to_bytes(m, "little")) for _, g, chambers in free]))
+        for c in itertools.compress(range(m), candidates.to_bytes(m, "little")):
+            chamber = 1 << 8 * c
+            img = block[c * n : (c + 1) * n]
+            walls, positive, positive_mask = bytes(ri.walls_of(img)), img[:npos], None
+            for pinned, classes in outer:
+                if pinned.complex_wall_blocks(walls, positive):
+                    continue
+                for g, free in classes:
+                    if not free[c]:
+                        continue
+                    if positive_mask is None:
+                        positive_mask = ri.mask(positive)
+                    scanned += 1
+                    surviving |= chamber
+                    signs = g.signs
+                    if any(signs[k] != -1 for k in self.simples(g, positive_mask)):
+                        bad |= chamber
+        return scanned, surviving, bad
 
 
 _BIT_BYTE = bytes.maketrans(b"01", b"\x00\x01")
@@ -218,106 +279,24 @@ def _packed(tables: Sequence[bytes]) -> bytes:
     return sum(int.from_bytes(t, "little") << i for i, t in enumerate(tables)).to_bytes(256, "little")
 
 
-class _Block:
-    """One block of chambers of a _TypeSweep, read in columns.
-
-    The block is the images of m chambers joined (weyl.weyl_blocks).  A set
-    of its chambers is m bytes, or an int read from them little-endian, with
-    byte c equal to 1 for chamber c.  Entry k of every chamber is the column
-    block[k::n].  A wall column passed through a packed table and read as
-    an int has bit i of byte c set when class i of the pack marks that wall
-    of chamber c, so the OR over the wall columns marks, for eight classes
-    at once, the chambers with some wall marked.  every, the set of all m
-    chambers, keeps bit 0 of each byte, so every & ~(hit >> i) is the set of
-    chambers where class i has none.  free[j] is the set of chambers
-    where class j of the sweep has no compact wall; walls holds the walls of
-    each chamber as a row of rank bytes.
-    """
-
-    def __init__(self, sweep: _TypeSweep, block: bytes):
-        self.sweep, self.block = sweep, block
-        ri = sweep.ri
-        self.n = n = len(ri.key)
-        self.rank = rank = len(ri.simple)
-        self.m = m = len(block) // n
-        self.columns = columns = [block[k::n] for k in ri.simple]
-        rows = bytearray(m * rank)
-        for j, column in enumerate(columns):
-            rows[j::rank] = column
-        self.walls = bytes(rows)
-        every = int.from_bytes(b"\x01" * m, "little")
-        hits = list(map(self.marked, sweep.compact))
-        self.free = [(every & ~(hits[j >> 3] >> (j & 7))).to_bytes(m, "little") for j in range(sweep.count)]
-
-    def marked(self, table: bytes) -> int:
-        """The OR over the wall columns of each column passed through table."""
-        return functools.reduce(or_, [int.from_bytes(col.translate(table), "little") for col in self.columns])
-
-    def pairs(self, c: int, outer_only: bool) -> Iterator[tuple[IndexedGrading, list[int]]]:
-        """The surviving pairs at chamber c, in sweep order, each with its
-        w-simple imaginary roots; with outer_only, those of the outer theta0."""
-        sweep, rank, n, free = self.sweep, self.rank, self.n, self.free
-        walls = self.walls[c * rank : (c + 1) * rank]
-        positive = self.block[c * n : c * n + sweep.ri.npos]
-        positive_mask = None
-        for inner, classes in sweep.groups:
-            if inner:
-                if outer_only:
-                    continue
-            elif classes[0][1].complex_wall_blocks(walls, positive):
-                continue
-            for j, g in classes:
-                if not free[j][c]:
-                    continue
-                if inner:
-                    yield g, sorted(walls)
-                    continue
-                if positive_mask is None:
-                    positive_mask = sweep.ri.mask(positive)
-                yield g, sweep.simples(g, positive_mask)
-
-    def scan(self) -> tuple[int, int, int]:
-        """(pairs scanned, chambers with a surviving pair, chambers with a
-        violating pair), the chamber sets as ints."""
-        sweep, free = self.sweep, self.free
-        unsigned = [None if table is None else self.marked(table) for table in sweep.unsigned]
-        scanned = surviving = bad = candidates = 0
-        for inner, classes in sweep.groups:
-            for j, _ in classes:
-                chambers = int.from_bytes(free[j], "little")
-                if inner:
-                    # the pair survives with the walls as its w-simple roots
-                    scanned += chambers.bit_count()
-                    surviving |= chambers
-                    bad |= chambers & (unsigned[j >> 3] >> (j & 7))
-                else:
-                    candidates |= chambers
-        for c in itertools.compress(range(self.m), candidates.to_bytes(self.m, "little")):
-            chamber = 1 << 8 * c
-            for g, simples in self.pairs(c, outer_only=True):
-                scanned += 1
-                surviving |= chamber
-                signs = g.signs
-                if any(signs[k] != -1 for k in simples):
-                    bad |= chamber
-        return scanned, surviving, bad
-
-    def violations(self, c: int, word: bytes, fault: bool) -> list[str]:
-        """The violation lines of chamber c, whose word is word, in sweep
-        order.  With fault the first simple root of its first surviving pair
-        has its sign flipped: every pair has one, since theta0 fixes the
-        highest root and so one of plus or minus it is w-positive imaginary."""
-        lines = []
-        type_str, roots = self.sweep.type_str, self.sweep.rs.roots
-        for g, simples in self.pairs(c, outer_only=False):
-            for i, k in enumerate(simples):
-                sign = g.signs[k]
-                if fault and i == 0:
-                    sign = -sign
-                    fault = False
-                if sign != -1:
-                    lines.append(f"{type_str} class {g.cls.class_id} word {tuple(word)} root {roots[k]} sign {sign}")
-        return lines
+def _violation_lines(type_str: str, gradings: Sequence[IndexedGrading], ch: Chamber, fault: bool) -> list[str]:
+    """The violation lines of one chamber, its pairs asked one at a time in
+    class order.  With fault the first w-simple imaginary root of its first
+    surviving pair has its sign flipped: every pair has one, since theta0
+    fixes the highest root and so one of plus or minus it is w-positive
+    imaginary."""
+    lines = []
+    roots = ch.rs.roots
+    for g in gradings:
+        if not g.admits_generic(ch):
+            continue
+        for i, k in enumerate(g.ri.simples(g.imaginary & ch.positive_mask)):
+            sign = g.signs[k]
+            if fault and i == 0:
+                sign, fault = -sign, False
+            if sign != -1:
+                lines.append(f"{type_str} class {g.cls.class_id} word {tuple(ch.word)} root {roots[k]} sign {sign}")
+    return lines
 
 
 def check_imaginary_signs(
@@ -331,21 +310,22 @@ def check_imaginary_signs(
     w-simple imaginary roots must all be noncompact.
 
     Chambers come one Weyl coset block at a time (weyl.weyl_blocks), or as
-    one block of the sampled chambers, and are read in columns (_Block); an
-    exhaustive sweep that counts other than the group order of chambers
-    raises WeylError.  The compact-wall test of a class, and for an inner
-    class its sign test, is a table lookup per wall column of the block,
-    one lookup for eight classes through their packed tables (_TypeSweep):
+    one block of the sampled chambers, and each block is read in columns
+    (_TypeSweep.scan); an exhaustive sweep that counts other than the group
+    order of chambers raises WeylError.  The compact-wall test of a class,
+    and for an inner class its sign test, is a table lookup per wall column
+    of the block, one lookup for eight classes through their packed tables:
     for an inner pair the w-simple imaginary roots are the walls, since
     w(positive roots) has simple system w(simple roots).  The outer classes
     go chamber by chamber over the chambers where one of them has no
-    compact wall: the complex-wall block (IndexedGrading.complex_wall_blocks)
+    compact wall: the complex-wall block (PinnedSigns.complex_wall_blocks)
     is decided once per (chamber, theta0), and the w-simple imaginary roots
     of a surviving pair are RootIndex.simples of the w-positive imaginary
     roots, kept per type by that mask.  Only the chambers with a violation,
     and the chamber of the first surviving pair when a fault is planted,
-    are swept again chamber by chamber to write their lines, with the first
-    reduced word of the chamber or the drawn word of a sampled one.
+    get lines: each is one Chamber, with the first reduced word of its
+    element or the drawn word of a sampled one, whose pairs are asked one
+    at a time through IndexedGrading.admits_generic and RootIndex.simples.
 
     For an inner pair the sign test only restates that
     IndexedGrading.signs agrees with compact: signs are read from compact,
@@ -369,23 +349,20 @@ def check_imaginary_signs(
             drawn = random_chambers(rs, samples, seed)
             blocks = [b"".join(ch.img for ch in drawn)]
             details.append(f"{type_str}: sampled ({samples} chambers, seed {seed}), {len(gradings)} classes")
-        sweep = _TypeSweep(type_str, rs, gradings)
+        sweep = _TypeSweep(rs, gradings)
         n = len(rs.roots)
         swept = 0
-        for block in map(functools.partial(_Block, sweep), blocks):
-            pairs, surviving, bad = block.scan()
+        for block in blocks:
+            m = len(block) // n
+            pairs, surviving, bad = sweep.scan(block)
             scanned += pairs
             if fault_pending and surviving:
                 bad |= surviving & -surviving  # the chamber of the first surviving pair
-            # the chambers with a violation are swept again one at a time for their lines
-            for c in itertools.compress(range(block.m), bad.to_bytes(block.m, "little")):
-                if drawn is None:
-                    word = _first_reduced_word(sweep.ri, block.block[c * n : (c + 1) * n])
-                else:
-                    word = drawn[c].word
-                violations += block.violations(c, word, fault_pending)
+            for c in itertools.compress(range(m), bad.to_bytes(m, "little")):
+                ch = Chamber(sweep.ri, None, block[c * n : (c + 1) * n]) if drawn is None else drawn[c]
+                violations += _violation_lines(type_str, gradings, ch, fault_pending)
                 fault_pending = False
-            swept += block.m
+            swept += m
         if drawn is None and swept != order:
             raise WeylError(f"{type_str}: swept {swept} chambers of a group of order {order}")
     details.append(f"{scanned} surviving (class, chamber) pairs checked")

@@ -129,7 +129,7 @@ def test_eps_rejects_complex_roots():
     g = indexed_grading(cls, cls.canonical_rep)
     k = cls.rs.roots.index((1, 0, 0))
     assert g.signs[k] == 0 and not g.imaginary >> k & 1
-    assert all((sign == 0) == (g.theta[j] != j) for j, sign in enumerate(g.signs))
+    assert all((sign == 0) == (g.pinned.theta[j] != j) for j, sign in enumerate(g.signs))
 
 
 def _a3_chamber_permutation(chamber):
@@ -265,10 +265,10 @@ def test_complex_wall_block_is_shared_by_the_gradings_of_a_theta0(type_str):
     for ch in all_chambers(build_root_system(type_str)):
         blocks = {}
         for g in gradings:
-            answer = g.complex_wall_blocks(bytes(ch.walls), ch.img[: g.ri.npos])
+            answer = g.pinned.complex_wall_blocks(bytes(ch.walls), ch.img[: g.ri.npos])
             blocks.setdefault(g.cls.aut, set()).add(answer)
             # the clause in masks: some wall's partner is w-positive and not a wall
-            assert answer == bool(g.theta_mask(ch.walls) & ch.positive_mask & ~ch.wall_mask)
+            assert answer == bool(g.pinned.theta_mask(ch.walls) & ch.positive_mask & ~ch.wall_mask)
             assert g.admits_generic(ch) == (not ch.wall_mask & g.compact and not answer)
         assert all(len(answers) == 1 for answers in blocks.values())
         assert all(answers == {False} for aut, answers in blocks.items() if aut.is_identity)

@@ -200,3 +200,73 @@ def test_every_definition_in_the_package_is_named_elsewhere():
         if named[node.name] == Counter(identifiers(node))[node.name]
     ]
     assert not unnamed, unnamed
+
+
+def test_dotted_names_in_the_docs_resolve():
+    # a module.name or Class.name that README.md or a docstring of the
+    # package names must exist, so a moved attribute leaves no stale
+    # reference behind; a class attribute may also be a dataclass field or
+    # an attribute its methods assign on self
+    import ast
+    import importlib
+    import pkgutil
+    import re
+    from dataclasses import fields, is_dataclass
+
+    import quasisplit
+
+    root = Path(__file__).resolve().parents[1]
+    modules = {
+        info.name: importlib.import_module(f"quasisplit.{info.name}") for info in pkgutil.iter_modules(quasisplit.__path__)
+    }
+    trees = {name: ast.parse(Path(module.__file__).read_text()) for name, module in modules.items()}
+    texts = [root.joinpath("README.md").read_text()] + [
+        ast.get_docstring(node) or ""
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    classes = {
+        name: value
+        for module in modules.values()
+        for name, value in vars(module).items()
+        if isinstance(value, type) and value.__module__ == module.__name__
+    }
+    assigned = {
+        node.name: {
+            target.attr
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Assign)
+            for top in sub.targets
+            for target in ast.walk(top)
+            if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name) and target.value.id == "self"
+        }
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def has(target, name):
+        if isinstance(target, type):
+            if is_dataclass(target) and name in {f.name for f in fields(target)}:
+                return True
+            if name in assigned.get(target.__name__, ()):
+                return True
+        return hasattr(target, name)
+
+    roots = {"quasisplit": quasisplit, **modules, **classes}
+    seen, stale = 0, []
+    for text in texts:
+        for chain in re.findall(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", text):
+            head, *parts = chain.split(".")
+            if head not in roots:
+                continue
+            seen += 1
+            target = roots[head]
+            for part in parts:
+                if not has(target, part):
+                    stale.append(chain)
+                    break
+                target = getattr(target, part, None)
+    assert seen >= 20
+    assert not stale, stale

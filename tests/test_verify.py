@@ -170,7 +170,7 @@ def test_sweep_matches_the_pair_by_pair_oracle(kwargs):
     assert (result.passed, result.details) == imaginary_signs_by_pairs(**kwargs)
 
 
-def test_outer_class_fault_is_caught(monkeypatch):
+def _plant_a3_outer_fault(monkeypatch):
     # every imaginary root of the quasi-split outer class (13):- of A3 reads
     # sign +1, with its compact mask, and so its surviving pairs, unchanged
     def flipped(cls, rep):
@@ -181,12 +181,29 @@ def test_outer_class_fault_is_caught(monkeypatch):
 
     monkeypatch.setattr(verify, "indexed_grading", flipped)
     monkeypatch.setattr(verify, "simple_types_up_to", lambda max_rank: ["A3"])
+
+
+def test_outer_class_fault_is_caught(monkeypatch):
+    _plant_a3_outer_fault(monkeypatch)
     result = check_imaginary_signs(max_rank=3)
     assert not result.passed
     assert result.details[:2] == ["A3: exhaustive (24 chambers), 5 classes", "24 surviving (class, chamber) pairs checked"]
     assert any(line.startswith("A3 class (13):- word ") for line in result.details[2:])
     # the roots named are the w-simple imaginary roots of each chamber
     assert (result.passed, result.details) == imaginary_signs_by_pairs(max_rank=3)
+
+
+def test_outer_class_fault_on_drawn_chambers(monkeypatch):
+    # the same planted signs on sampled chambers: the lines of an outer
+    # class name the drawn words, and the report caps them at 20 lines
+    _plant_a3_outer_fault(monkeypatch)
+    monkeypatch.setattr(verify, "DEFAULT_EXHAUSTIVE_CUTOFF", 2)
+    result = check_imaginary_signs(max_rank=3, samples=20, seed=4)
+    assert not result.passed
+    assert result.details[0] == "A3: sampled (20 chambers, seed 4), 5 classes"
+    lines = result.details[2:]
+    assert len(lines) == 20 and all(line.startswith("A3 class (13):- word ") for line in lines)
+    assert (result.passed, result.details) == imaginary_signs_by_pairs(max_rank=3, samples=20, seed=4)
 
 
 @pytest.mark.parametrize(
