@@ -21,8 +21,10 @@ from typing import Iterable, Sequence
 
 Vector = tuple[int, ...]
 
-# `involutions` takes 2-4 s for each classical type of rank 18 on a 2-vCPU
-# VM, up to 9 s at rank 19 and about 10-12 s at rank 20.
+# `involutions` takes 0.3-0.5 s for each classical type of rank 18 on a
+# 2-vCPU VM, with --json or --merge-diagram-conjugate as well (in-process,
+# best of 3); with this bound raised, rank 19 takes 0.7-0.85 s and rank 20
+# 1.5-1.9 s.
 MAX_RANK = 18
 
 VALID_RANKS = {

@@ -19,13 +19,17 @@ columns: each wall of every chamber in a block is one bytes column.  The
 compact-wall test of a class, and the sign test of an inner class, whose
 w-simple imaginary roots are the walls themselves, are table lookups on
 the wall columns, with the tables of eight classes packed bitwise into
-one, so that one lookup per wall column tests eight classes.  Only the
-chambers where an outer class may survive are read one at a time,
-deciding the complex-wall block of each outer theta0 once, through its
-PinnedSigns.  Only a chamber with a violation gets lines: its pairs are
-asked one at a time through IndexedGrading.admits_generic, the library's
-pair rule.  It accepts a fault-injection switch that flips one sign on
-purpose; a healthy detector must then produce at least one violation.
+one, so that one lookup per wall column tests eight classes.  The outer
+classes are read in columns too: a chamber of a block is u v with v in the
+first block, so the chambers where a root x is w-positive, or a wall, are
+a column of the first block indexed by u^-1 x, built once per type, and
+the complex-wall clause of each outer theta0, its w-simple imaginary roots
+and the sign test of its classes are int operations on those columns.  No
+chamber is read one at a time, except that a chamber with a violation gets
+lines: its pairs are asked one at a time through
+IndexedGrading.admits_generic, the library's pair rule.  It accepts a
+fault-injection switch that flips one sign on purpose; a healthy detector
+must then produce at least one violation.
 """
 
 from __future__ import annotations
@@ -33,15 +37,17 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from operator import or_
+from operator import and_, or_, xor
 from typing import Sequence
 
+from .chevalley import PinnedSigns
 from .classify import IndexedGrading, admits_generic_character, indexed_grading, unipotent_image_dim
 from .involution import enumerate_involution_classes, find_class
 from .rootdata import VALID_RANKS, RootSystem, build_root_system, identity_automorphism, support_connected
 from .weyl import (
     EXHAUSTIVE_WEYL_BOUND,
     Chamber,
+    RootIndex,
     WeylError,
     identity_chamber,
     random_chambers,
@@ -54,15 +60,16 @@ EXPECTED_EXCEPTIONAL_INNER = {"G2": 1, "F4": 2, "E6": 2, "E7": 3, "E8": 2}
 
 DEFAULT_SAMPLES = 2000
 DEFAULT_EXHAUSTIVE_CUTOFF = 2000
-# Largest --max-rank.  At default samples all checks take about 0.3-0.45 s
-# at rank 6 on a 2-vCPU VM and 0.6-0.85 s at rank 7, but at the --samples
-# cap the imaginary-signs sweep takes 2.6-3.9 s and 92 MB at rank 6 against
-# 5.9-8.3 s and 106 MB at rank 7, which would about double the slowest run;
-# random_chambers takes most of the rank-6 run (3.0 of 3.4 s under cProfile).
+# Largest --max-rank.  At default samples all checks take about 0.35 s at
+# rank 6 on a 2-vCPU VM and 0.5-0.7 s at rank 7 (in-process), but at the
+# --samples cap the imaginary-signs sweep takes 2.6-3.3 s and 97 MB at rank 6
+# against 5.6-6.6 s and 104 MB at rank 7, which would about double the
+# slowest run; random_chambers takes most of the rank-6 run (3.6 of 3.9 s
+# under cProfile).
 MAX_VERIFY_RANK = 6
-# Largest --samples: the sampled sweep at --max-rank 6 takes about 2.4-2.8 s
-# at 20 000 samples on a 2-vCPU VM (77 MB), 2.6-3.9 s at 25 000 (92 MB) and
-# 3.7-4.9 s at 30 000 (107 MB).
+# Largest --samples: the sampled sweep at --max-rank 6 takes about 2.2-2.5 s
+# at 20 000 samples on a 2-vCPU VM (81 MB), 2.6-3.3 s at 25 000 (97 MB) and
+# 3.1-4.4 s at 30 000 (113 MB).
 MAX_VERIFY_SAMPLES = 25_000
 
 
@@ -164,101 +171,185 @@ def check_principal(max_rank: int = 8) -> CheckResult:
 
 class _TypeSweep:
     """The imaginary-signs sweep of one simple type, one block of chambers at
-    a time (scan).
+    a time (scan), every block read in columns.
+
+    base is the first block: W_{rank-1} in an exhaustive sweep, whose first
+    chamber is 1 (weyl.weyl_blocks), or all the sampled chambers joined.
+    Chamber c of base is v_c, and every later block must be base passed
+    through the table of its first chamber u, so that its chamber c is
+    u v_c and w^-1 x = v_c^-1(u^-1 x) for w = u v_c (Bjorner and Brenti,
+    Combinatorics of Coxeter Groups, 2.4); scan raises WeylError on a block
+    that is not.  So the chambers of a block where root x is w-positive, or
+    a wall (w^-1 x simple), are one column of base, indexed by u^-1 x and
+    built once per type from the inverse images of base: positive[y],
+    wall[y] and interior[y] are the sets of chambers c where v_c^-1 y is
+    positive, simple, or positive but not simple, each an int (see scan).
+    base_walls is the wall columns of base joined, and every the set of all
+    its chambers.
 
     groups holds the classes grouped by their theta0's PinnedSigns, in
     enumeration order, each class as (j, grading) with j its place in that
-    order.  The 0/1 tables of eight classes at a time are packed into one
-    256-byte table for bytes.translate, class j at bit j % 8 of pack
-    j // 8: compact[p] marks the compact roots of the classes of pack p,
-    and unsigned[p] the roots whose sign is not -1 for its inner classes
+    order, and with each group the _OuterTheta of its theta0, or None when
+    theta0 is inner.  The 0/1 tables of eight classes at a time are packed
+    into one 256-byte table for bytes.translate, class j at bit j % 8 of
+    pack j // 8: compact[p] marks the compact roots of the classes of pack
+    p, and unsigned[p] the roots whose sign is not -1 for its inner classes
     (read from IndexedGrading.signs, so planted signs show), or is None
     when the pack has no inner class.
     """
 
-    def __init__(self, rs: RootSystem, gradings: Sequence[IndexedGrading]):
-        self.ri = root_index(rs)
-        self.groups = [
-            (pinned, list(group))
-            for pinned, group in itertools.groupby(enumerate(gradings), lambda jg: jg[1].pinned)
-        ]
+    def __init__(self, type_str: str, rs: RootSystem, gradings: Sequence[IndexedGrading], base: bytes):
+        self.type_str = type_str
+        self.ri = ri = root_index(rs)
+        self.base = base
+        n = len(ri.key)
+        self.base_walls = b"".join(base[k::n] for k in ri.simple)
+        self.every = int.from_bytes(b"\x01" * (len(base) // n), "little")
+        self.groups = []
+        for pinned, group in itertools.groupby(enumerate(gradings), lambda jg: jg[1].pinned):
+            classes = list(group)
+            outer = None if pinned.aut.is_identity else _OuterTheta(ri, pinned, [g for _, g in classes])
+            self.groups.append((classes, outer))
         packs = [gradings[p : p + 8] for p in range(0, len(gradings), 8)]
-        self.compact = [_packed([_bit_bytes(g.compact, len(rs.roots)) for g in pack]) for pack in packs]
+        self.compact = [_packed([_bit_bytes(g.compact, n) for g in pack]) for pack in packs]
         self.unsigned = [
             _packed([bytes(map((-1).__ne__, g.signs)) if g.cls.is_inner else b"" for g in pack])
             if any(g.cls.is_inner for g in pack)
             else None
             for pack in packs
         ]
-        self.outer_simples: dict[int, list[int]] = {}
 
-    def simples(self, g: IndexedGrading, positive_mask: int) -> list[int]:
-        """The w-simple imaginary roots of an outer pair, kept per mask."""
-        key = g.imaginary & positive_mask
-        simples = self.outer_simples.get(key)
-        if simples is None:
-            simples = self.outer_simples[key] = self.ri.simples(key)
-        return simples
+    @functools.cached_property
+    def columns(self) -> tuple[list[int], list[int], list[int]]:
+        """(positive, wall, interior), built on first use: a type with no
+        outer class never reads them."""
+        ri, base = self.ri, self.base
+        n = len(ri.key)
+        # bytes.maketrans inverts an image: byte y of inverse c is v_c^-1 y
+        identity = bytes(range(n))
+        inverses = b"".join([bytes.maketrans(base[at : at + n], identity)[:n] for at in range(0, len(base), n)])
+        is_positive = b"\x01" * ri.npos + bytes(256 - ri.npos)
+        is_simple = bytearray(256)
+        for k in ri.simple:
+            is_simple[k] = 1
+        positive, wall = [], []
+        for y in range(n):
+            column = inverses[y::n]
+            positive.append(int.from_bytes(column.translate(is_positive), "little"))
+            wall.append(int.from_bytes(column.translate(is_simple), "little"))
+        return positive, wall, list(map(xor, positive, wall))  # every wall is positive
 
     def scan(self, block: bytes) -> tuple[int, int, int]:
         """(pairs scanned, chambers with a surviving pair, chambers with a
         violating pair) of a block of chambers, the chamber sets as ints.
 
-        The block is the images of m chambers joined (weyl.weyl_blocks).  A
-        set of its chambers is m bytes, or an int read from them
-        little-endian, with byte c equal to 1 for chamber c.  Entry k of
-        every chamber is the column block[k::n].  A wall column passed
-        through a packed table and read as an int has bit i of byte c set
-        when class i of the pack marks that wall of chamber c, so the OR
-        over the wall columns marks, for eight classes at once, the chambers
-        with some wall marked; every, the set of all m chambers, keeps bit 0
-        of each byte, so every & ~(hit >> i) is the set of chambers where
-        class i has no compact wall.  An inner pair there survives with the
-        walls as its w-simple roots.  The outer classes go chamber by
-        chamber over the chambers where one of them has no compact wall,
-        deciding the complex-wall block of each outer theta0 once.
+        The block is the images of m chambers joined.  A set of its chambers
+        is m bytes, or an int read from them little-endian, with byte c
+        equal to 1 for chamber c.  Entry k of every chamber is the column
+        block[k::n].  A wall column passed through a packed table and read
+        as an int has bit i of byte c set when class i of the pack marks
+        that wall of chamber c, so the OR over the wall columns marks, for
+        eight classes at once, the chambers with some wall marked; every,
+        the set of all m chambers, keeps bit 0 of each byte, so
+        every & ~(hit >> i) is the set of chambers where class i has no
+        compact wall.  An inner pair there survives with the walls as its
+        w-simple roots.  An outer pair there survives unless theta0's
+        complex-wall clause holds, and its w-simple imaginary roots are
+        read from the positive columns (_OuterTheta), once per theta0.
         """
-        ri = self.ri
-        n, npos = len(ri.key), ri.npos
-        m = len(block) // n
-        columns = [block[k::n] for k in ri.simple]
+        ri, base = self.ri, self.base
+        n = len(ri.key)
+        m = len(base) // n
+        walls = [block[k::n] for k in ri.simple]
+        if block is not base:
+            if not base.startswith(bytes(range(n))):
+                raise WeylError(f"{self.type_str}: the first coset block does not start at 1")
+            if len(block) != len(base):
+                raise WeylError(f"{self.type_str}: a coset block of {len(block) // n} chambers after one of {m}")
+            # an element is determined by its walls, the images of the simple roots
+            if b"".join(walls) != self.base_walls.translate(block[:n] + bytes(range(n, 256))):
+                raise WeylError(f"{self.type_str}: a coset block is not its first chamber times the first block")
 
         def marked(table: bytes) -> int:
-            return functools.reduce(or_, [int.from_bytes(col.translate(table), "little") for col in columns])
+            marks = map(bytes.translate, walls, itertools.repeat(table))
+            return functools.reduce(or_, map(int.from_bytes, marks, itertools.repeat("little")))
 
-        every = int.from_bytes(b"\x01" * m, "little")
+        every = self.every
         hits = list(map(marked, self.compact))
         unsigned = [None if table is None else marked(table) for table in self.unsigned]
-        scanned = surviving = bad = candidates = 0
-        outer = []
-        for pinned, classes in self.groups:
-            free = [(j, g, every & ~(hits[j >> 3] >> (j & 7))) for j, g in classes]
-            if pinned.aut.is_identity:
-                for j, _, chambers in free:
+        scanned = surviving = bad = 0
+        columns = None
+        for classes, outer in self.groups:
+            free = [every & ~(hits[j >> 3] >> (j & 7)) for j, _ in classes]
+            if outer is None:
+                for (j, _), chambers in zip(classes, free):
                     scanned += chambers.bit_count()
                     surviving |= chambers
                     bad |= chambers & (unsigned[j >> 3] >> (j & 7))
-            else:
-                candidates = functools.reduce(or_, [chambers for _, _, chambers in free], candidates)
-                outer.append((pinned, [(g, chambers.to_bytes(m, "little")) for _, g, chambers in free]))
-        for c in itertools.compress(range(m), candidates.to_bytes(m, "little")):
-            chamber = 1 << 8 * c
-            img = block[c * n : (c + 1) * n]
-            walls, positive, positive_mask = bytes(ri.walls_of(img)), img[:npos], None
-            for pinned, classes in outer:
-                if pinned.complex_wall_blocks(walls, positive):
-                    continue
-                for g, free in classes:
-                    if not free[c]:
-                        continue
-                    if positive_mask is None:
-                        positive_mask = ri.mask(positive)
-                    scanned += 1
-                    surviving |= chamber
-                    signs = g.signs
-                    if any(signs[k] != -1 for k in self.simples(g, positive_mask)):
-                        bad |= chamber
+                continue
+            if not any(free):
+                continue
+            if columns is None:
+                columns = self.columns
+                if block is not base:
+                    # chamber c of the block is u v_c, so its columns are those of u^-1 x
+                    inverse = bytes.maketrans(block[:n], bytes(range(n)))[:n]
+                    columns = [list(map(column.__getitem__, inverse)) for column in columns]
+            positive, wall, interior = columns
+            blocked = outer.blocked(wall, interior)
+            w_simple: dict[int, int] = {}
+            for chambers, roots in zip(free, outer.unsigned):
+                chambers &= ~blocked
+                if chambers:
+                    scanned += chambers.bit_count()
+                    surviving |= chambers
+                    bad |= chambers & outer.any_w_simple(roots, positive, w_simple)
         return scanned, surviving, bad
+
+
+class _OuterTheta:
+    """The column reading of one outer theta0 and its classes (_TypeSweep).
+
+    complex holds the complex roots x and partners their partners theta0 x.
+    unsigned[i] holds the imaginary roots whose sign is not -1 for class i
+    of the group, read from IndexedGrading.signs so that planted signs
+    show, and sums[k], for each of them, the imaginary pairs a + b = k of
+    RootIndex.sums as two tuples, the a and the b.
+    """
+
+    def __init__(self, ri: RootIndex, pinned: PinnedSigns, gradings: Sequence[IndexedGrading]):
+        theta, imaginary = pinned.theta, pinned.imaginary
+        self.complex = tuple(x for x, t in enumerate(theta) if t != x)
+        self.partners = tuple(map(theta.__getitem__, self.complex))
+        roots = ri.indices(imaginary)
+        self.unsigned = [tuple(k for k in roots if g.signs[k] != -1) for g in gradings]
+        self.sums = {}
+        for k in set().union(*self.unsigned):
+            pairs = [ri.indices(pair) for pair in ri.sums[k] if not pair & ~imaginary]
+            self.sums[k] = (tuple(a for a, _ in pairs), tuple(b for _, b in pairs))
+
+    def blocked(self, wall: Sequence[int], interior: Sequence[int]) -> int:
+        """The chambers where theta0's complex-wall clause holds: some wall
+        x has its partner theta0 x w-positive but no wall, the clause of
+        PinnedSigns.complex_wall_blocks over a block's columns."""
+        cells = map(and_, map(wall.__getitem__, self.complex), map(interior.__getitem__, self.partners))
+        return functools.reduce(or_, cells, 0)
+
+    def any_w_simple(self, roots: Sequence[int], positive: Sequence[int], known: dict[int, int]) -> int:
+        """The chambers where one of roots, all of them in sums, is a
+        w-simple imaginary root: w-positive, with no imaginary pair a + b = k
+        both w-positive.  Such a pair makes k w-positive, so the chambers
+        that have one are a subset of positive[k].  The chambers of each
+        root are kept in known, for the other classes of theta0."""
+        get, found = positive.__getitem__, 0
+        for k in roots:
+            chambers = known.get(k)
+            if chambers is None:
+                heads, tails = self.sums[k]
+                pairs = functools.reduce(or_, map(and_, map(get, heads), map(get, tails)), 0)
+                chambers = known[k] = positive[k] ^ pairs
+            found |= chambers
+        return found
 
 
 _BIT_BYTE = bytes.maketrans(b"01", b"\x00\x01")
@@ -312,26 +403,29 @@ def check_imaginary_signs(
     Chambers come one Weyl coset block at a time (weyl.weyl_blocks), or as
     one block of the sampled chambers, and each block is read in columns
     (_TypeSweep.scan); an exhaustive sweep that counts other than the group
-    order of chambers raises WeylError.  The compact-wall test of a class,
+    order of chambers, or whose blocks are not the first block times their
+    first chambers, raises WeylError.  The compact-wall test of a class,
     and for an inner class its sign test, is a table lookup per wall column
     of the block, one lookup for eight classes through their packed tables:
     for an inner pair the w-simple imaginary roots are the walls, since
-    w(positive roots) has simple system w(simple roots).  The outer classes
-    go chamber by chamber over the chambers where one of them has no
-    compact wall: the complex-wall block (PinnedSigns.complex_wall_blocks)
-    is decided once per (chamber, theta0), and the w-simple imaginary roots
-    of a surviving pair are RootIndex.simples of the w-positive imaginary
-    roots, kept per type by that mask.  Only the chambers with a violation,
-    and the chamber of the first surviving pair when a fault is planted,
-    get lines: each is one Chamber, with the first reduced word of its
-    element or the drawn word of a sampled one, whose pairs are asked one
-    at a time through IndexedGrading.admits_generic and RootIndex.simples.
+    w(positive roots) has simple system w(simple roots).  An outer pair is
+    read from the columns of the first block, where root x is w-positive
+    or a wall, indexed through the inverse of the block's first chamber:
+    the complex-wall clause of its theta0 (the clause of
+    PinnedSigns.complex_wall_blocks) is an OR over the complex roots, and
+    an imaginary root is w-simple where it is w-positive and no imaginary
+    pair summing to it (RootIndex.sums) is.  Only the chambers with a
+    violation, and the chamber of the first surviving pair when a fault is
+    planted, get lines: each is one Chamber, with the first reduced word of
+    its element or the drawn word of a sampled one, whose pairs are asked
+    one at a time through IndexedGrading.admits_generic and
+    RootIndex.simples.
 
     For an inner pair the sign test only restates that
     IndexedGrading.signs agrees with compact: signs are read from compact,
     every inner root is imaginary, and the pair survives only when no wall
     is compact, so every wall carries sign -1.  The outer pairs, whose
-    w-simple imaginary roots come from RootIndex.simples, carry the
+    w-simple imaginary roots come from the imaginary sums, carry the
     independent content.
     """
     violations = []
@@ -343,13 +437,16 @@ def check_imaginary_signs(
         gradings = [indexed_grading(c, c.canonical_rep) for c in enumerate_involution_classes(rs)]
         order = rs.weyl_group_order()
         if order <= DEFAULT_EXHAUSTIVE_CUTOFF or (exhaustive and order <= EXHAUSTIVE_WEYL_BOUND):
-            drawn, blocks = None, weyl_blocks(rs)
+            drawn, blocks = None, iter(weyl_blocks(rs))
+            base = next(blocks, b"")
+            blocks = itertools.chain([base], blocks)
             details.append(f"{type_str}: exhaustive ({order} chambers), {len(gradings)} classes")
         else:
             drawn = random_chambers(rs, samples, seed)
-            blocks = [b"".join(ch.img for ch in drawn)]
+            base = b"".join(ch.img for ch in drawn)
+            blocks = [base]
             details.append(f"{type_str}: sampled ({samples} chambers, seed {seed}), {len(gradings)} classes")
-        sweep = _TypeSweep(rs, gradings)
+        sweep = _TypeSweep(type_str, rs, gradings, base)
         n = len(rs.roots)
         swept = 0
         for block in blocks:

@@ -3,6 +3,7 @@ import ast
 import pytest
 
 from quasisplit import verify, weyl
+from quasisplit.chevalley import PinnedSigns
 from quasisplit.classify import IndexedGrading
 from quasisplit.involution import enumerate_involution_classes
 from quasisplit.rootdata import build_root_system
@@ -77,6 +78,22 @@ def test_exhaustive_sweep_keeps_one_group(monkeypatch):
     assert built == []
 
 
+def test_healthy_sweep_reads_no_chamber_alone(monkeypatch):
+    # the outer classes are read in columns too: no chamber of a healthy
+    # sweep asks theta0's complex-wall clause on its own
+    calls = []
+    blocks = PinnedSigns.complex_wall_blocks
+
+    def counted(self, walls, positive):
+        calls.append(walls)
+        return blocks(self, walls, positive)
+
+    monkeypatch.setattr(PinnedSigns, "complex_wall_blocks", counted)
+    assert check_imaginary_signs(max_rank=5, exhaustive=True).passed
+    assert check_imaginary_signs(max_rank=6, samples=150, seed=0).passed
+    assert calls == []
+
+
 def test_short_walk_is_refused(monkeypatch):
     # a sweep that covered fewer chambers than the group order it reports
     # must not pass: drop the last coset block of A3 (4 blocks of 6)
@@ -86,6 +103,29 @@ def test_short_walk_is_refused(monkeypatch):
     monkeypatch.setattr(verify, "weyl_blocks", short)
     monkeypatch.setattr(verify, "simple_types_up_to", lambda max_rank: ["A3"])
     with pytest.raises(WeylError, match="A3: swept 18 chambers of a group of order 24"):
+        check_imaginary_signs(max_rank=3)
+
+
+@pytest.mark.parametrize(
+    "reorder, message",
+    [
+        (lambda blocks: blocks[::-1], "A3: the first coset block does not start at 1"),
+        (lambda blocks: [blocks[0], blocks[1][:-12], *blocks[2:]], "A3: a coset block of 5 chambers after one of 6"),
+        (
+            lambda blocks: [*blocks[:-1], blocks[-1][:-24] + blocks[-1][-12:] + blocks[-1][-24:-12]],
+            "A3: a coset block is not its first chamber times the first block",
+        ),
+    ],
+    ids=["blocks-reversed", "block-short", "chambers-swapped"],
+)
+def test_reordered_blocks_are_refused(reorder, message, monkeypatch):
+    # the columns read chamber c of a block as u v_c, with u its first
+    # chamber and v_c chamber c of the first block, which must start at 1:
+    # a walk that breaks this is refused, not read.  A3 has 12 roots and 4
+    # blocks of 6 chambers
+    monkeypatch.setattr(verify, "weyl_blocks", lambda rs: reorder(list(weyl.weyl_blocks(rs))))
+    monkeypatch.setattr(verify, "simple_types_up_to", lambda max_rank: ["A3"])
+    with pytest.raises(WeylError, match=message):
         check_imaginary_signs(max_rank=3)
 
 
@@ -208,15 +248,16 @@ def test_outer_class_fault_on_drawn_chambers(monkeypatch):
 
 @pytest.mark.parametrize(
     "type_str, kind",
-    [("A4", "inner"), ("A4", "outer"), ("B4", "inner"), ("D4", "inner"), ("D4", "outer")],
-    ids=["A4-inner", "A4-outer", "B4-inner", "D4-inner", "D4-outer"],
+    [("A4", "inner"), ("A4", "outer"), ("B4", "inner"), ("D4", "inner"), ("D4", "outer"), ("A5", "outer"), ("D5", "outer")],
+    ids=["A4-inner", "A4-outer", "B4-inner", "D4-inner", "D4-outer", "A5-outer", "D5-outer"],
 )
 def test_planted_signs_past_the_first_block(type_str, kind, monkeypatch):
     # every class of one kind reads sign +1 on the roots with a negative
     # coefficient at the last node.  The first coset block is W_{rank-1},
     # which keeps that coefficient, so no wall or w-positive root of its
-    # chambers has one: every violation falls in the second block or later.
-    # D4 has 11 classes, so its class tests span two packed tables
+    # chambers has one: every violation falls in the second block or later,
+    # where u is not 1.  D4 has 11 classes, so its class tests span two
+    # packed tables
     rs = build_root_system(type_str)
 
     def planted(cls, rep):
@@ -227,8 +268,8 @@ def test_planted_signs_past_the_first_block(type_str, kind, monkeypatch):
 
     monkeypatch.setattr(verify, "indexed_grading", planted)
     monkeypatch.setattr(verify, "simple_types_up_to", lambda max_rank: [type_str])
-    result = check_imaginary_signs(max_rank=4, exhaustive=True)
-    assert (result.passed, result.details) == imaginary_signs_by_pairs(max_rank=4, exhaustive=True)
+    result = check_imaginary_signs(max_rank=rs.rank, exhaustive=True)
+    assert (result.passed, result.details) == imaginary_signs_by_pairs(max_rank=rs.rank, exhaustive=True)
     assert not result.passed
     lines = result.details[2:]
     assert lines and all(line.startswith(f"{type_str} class ") for line in lines)
@@ -242,3 +283,26 @@ def test_planted_signs_past_the_first_block(type_str, kind, monkeypatch):
     for line in lines:
         word = ast.literal_eval(line.split(" word ")[1].split(" root ")[0])
         assert position[bytes(word)] >= block
+
+
+def test_planted_outer_signs_on_drawn_e6_chambers(monkeypatch):
+    # the outer classes of E6 read sign +1 on the roots with a negative
+    # coefficient at the last node, on sampled chambers: one block of drawn
+    # chambers, its columns built from their own inverses
+    rs = build_root_system("E6")
+
+    def planted(cls, rep):
+        g = IndexedGrading(cls, rep)
+        if not cls.is_inner:
+            g.signs = tuple(abs(s) if v[-1] < 0 else s for s, v in zip(g.signs, rs.roots))
+        return g
+
+    monkeypatch.setattr(verify, "indexed_grading", planted)
+    monkeypatch.setattr(verify, "simple_types_up_to", lambda max_rank: ["E6"])
+    result = check_imaginary_signs(max_rank=6, samples=300, seed=1)
+    assert (result.passed, result.details) == imaginary_signs_by_pairs(max_rank=6, samples=300, seed=1)
+    assert not result.passed
+    assert result.details[0] == "E6: sampled (300 chambers, seed 1), 5 classes"
+    by_class = {c.class_id: c for c in enumerate_involution_classes(rs)}
+    lines = result.details[2:]
+    assert lines and not any(by_class[line.split()[2]].is_inner for line in lines)
